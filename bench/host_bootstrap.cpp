@@ -96,36 +96,13 @@ host()
     return h;
 }
 
-/** Selects fused/composed pipelines for one run per the benchmark
- *  arg, restoring the previous gate on exit. */
-class FusionArg
-{
-  public:
-    FusionArg(benchmark::State &state, int arg_index)
-        : prev_(fusionEnabled()),
-          fused_(state.range(arg_index) != 0)
-    {
-        setFusionEnabled(fused_);
-    }
-    ~FusionArg() { setFusionEnabled(prev_); }
-
-    bool fused() const { return fused_; }
-
-  private:
-    bool prev_;
-    bool fused_;
-};
-
-/** Arg 0: 0 = naive_fresh, 1 = naive_cached, 2 = hoisted,
- *  3 = lazy_square, 4 = lazy (default wide split).
- *  Arg 1: fused kernel pipelines (CL_FUSE) on/off; the composed leg
- *  is benchmarked only for the headline lazy variant. */
+/** 0 = naive_fresh, 1 = naive_cached, 2 = hoisted, 3 = lazy_square,
+ *  4 = lazy (default wide split). */
 void
 BM_CoeffToSlot(benchmark::State &state)
 {
     Host &h = host();
     const int variant = static_cast<int>(state.range(0));
-    FusionArg fuse(state, 1);
     const Bootstrapper &boot = variant == 0   ? *h.uncached
                                : variant == 4 ? *h.wide
                                               : *h.cached;
@@ -136,8 +113,7 @@ BM_CoeffToSlot(benchmark::State &state)
     static const char *const kNames[] = {"naive_fresh", "naive_cached",
                                          "hoisted", "lazy_square",
                                          "lazy"};
-    state.SetLabel(std::string(kNames[variant]) +
-                   (fuse.fused() ? "" : "/composed"));
+    state.SetLabel(kNames[variant]);
 
     // Prime the diagonal cache outside the timed region.
     benchmark::DoNotOptimize(boot.applyCoeffToSlot(h.top, mode));
@@ -148,26 +124,22 @@ BM_CoeffToSlot(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CoeffToSlot)
-    ->Args({0, 1})->Args({1, 1})->Args({2, 1})->Args({3, 1})
-    ->Args({4, 1})->Args({4, 0})
+    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-/** Arg 0: naive vs lazy pipeline; arg 1: fused kernel pipelines
- *  on/off (composed leg only for the lazy pipeline). */
+/** Arg: naive vs lazy pipeline. */
 void
 BM_Bootstrap(benchmark::State &state)
 {
     Host &h = host();
     const bool lazy = state.range(0) != 0;
-    FusionArg fuse(state, 1);
     BootstrapParams bp;
     bp.ltMode = lazy ? LinearTransformMode::HoistedLazy
                      : LinearTransformMode::Naive;
     bp.cacheDiagonals = lazy; // naive leg models the historical cost
     if (!lazy)
         bp.ltBabySteps = 16; // historical square split
-    state.SetLabel(std::string(lazy ? "lazy_cached" : "naive_fresh") +
-                   (fuse.fused() ? "" : "/composed"));
+    state.SetLabel(lazy ? "lazy_cached" : "naive_fresh");
     Bootstrapper boot(*h.ctx, *h.enc, *h.keygen, bp);
     // Prime the diagonal caches (including the wide ext-basis
     // plaintexts) outside the timed region.
@@ -178,16 +150,11 @@ BM_Bootstrap(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_Bootstrap)
-    ->Args({0, 1})->Args({1, 1})->Args({1, 0})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Bootstrap)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/** Tower-tiled keyswitch inner product at a bandwidth-bound shape:
+/** Keyswitch inner product of a rotation at a bandwidth-bound shape:
  *  logN = 13, dnum = 4 digits over a 20-tower extended basis, so one
- *  digit image is ~1.3 MB — past the CL_FUSE_TILE floor where the
- *  tiled sweep engages (the logN = 9 benchmarks above sit below it
- *  and adaptively fall back). Includes the rotation gather. Arg:
- *  fused (tiled) vs composed (materialized rotated digits). */
+ *  digit image is ~1.3 MB. Includes the digit automorphism. */
 void
 BM_KeySwitchInnerProduct(benchmark::State &state)
 {
@@ -228,17 +195,15 @@ BM_KeySwitchInnerProduct(benchmark::State &state)
         }
     };
     static Ip ip;
-    FusionArg fuse(state, 0);
-    state.SetLabel(fuse.fused() ? "tiled" : "composed");
     for (auto _ : state) {
-        auto acc = ip.eval->innerProduct(ip.digits,
-                                         ip.galois.at(ip.gal), ip.gal);
+        const KeySwitchDigits rot =
+            ip.eval->automorphismDigits(ip.digits, ip.gal);
+        auto acc = ip.eval->innerProduct(rot, ip.galois.at(ip.gal));
         benchmark::DoNotOptimize(acc.first.data().data());
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_KeySwitchInnerProduct)->Arg(1)->Arg(0)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KeySwitchInnerProduct)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -310,9 +310,9 @@ Bootstrapper::linearTransform(const Ciphertext &ct, const Matrix &m,
                                                   galois_.at(gal), digits);
             break;
         case LinearTransformMode::HoistedLazy: {
-            // Digit rotation fused into the inner product (tower-tiled
-            // under CL_FUSE; composed sequence otherwise).
-            auto ip = eval_.innerProduct(digits, galois_.at(gal), gal);
+            const KeySwitchDigits rot =
+                eval_.automorphismDigits(digits, gal);
+            auto ip = eval_.innerProduct(rot, galois_.at(gal));
             k0[b] = std::move(ip.first);
             k1[b] = std::move(ip.second);
             c0rot[b] = ct.c0.automorphism(gal);

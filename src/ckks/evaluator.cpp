@@ -269,113 +269,6 @@ Evaluator::innerProduct(const KeySwitchDigits &digits,
     return {std::move(acc0), std::move(acc1)};
 }
 
-std::pair<RnsPoly, RnsPoly>
-Evaluator::innerProduct(const KeySwitchDigits &digits, const SwitchKey &ksk,
-                        std::size_t galois) const
-{
-    // Tiling is a bandwidth optimization: it pays once one
-    // extended-basis digit image outgrows the cache-resident regime.
-    // Below the floor every operand is already cache-hot and the tile
-    // bookkeeping is pure overhead, so fall through to the composed
-    // per-digit path (bit-identical either way; DESIGN.md §5e).
-    const bool tiled = fusionEnabled() &&
-                       !digits.extIdx.empty() &&
-                       u64{digits.extIdx.size()} * ctx_.n() * 8 >=
-                           fusionTileMinBytes();
-    if (!tiled) {
-        if (galois != 1) {
-            const KeySwitchDigits rot = automorphismDigits(digits, galois);
-            return innerProduct(rot, ksk);
-        }
-        return innerProduct(digits, ksk);
-    }
-
-    // Tower-tiled fused path (DESIGN.md §5e): iterate tower-major so
-    // each extended-basis tower's pair of accumulators stays
-    // cache-resident across all dnum digit MACs, and the optional
-    // digit automorphism gathers into per-thread scratch instead of
-    // materializing rotated digit polynomials. The MACs run in the
-    // same digit order with the same canonical kernels as the composed
-    // loop, so the accumulators are bit-identical.
-    CL_ASSERT(digits.valid(), "innerProduct on empty digits");
-    CL_ASSERT(ksk.alphaKs == digits.alphaKs,
-              "digit size mismatch: digits use ", digits.alphaKs,
-              ", hint uses ", ksk.alphaKs);
-    const unsigned dnum = static_cast<unsigned>(digits.u.size());
-    CL_ASSERT(dnum <= ksk.digits(), "hint has ", ksk.digits(),
-              " digits, need ", dnum);
-    OpCounter &ops = ctx_.ops();
-    ops.innerProducts++;
-    const std::size_t ext = digits.extIdx.size();
-    const std::size_t n = ctx_.n();
-    if (galois != 1) // the gather passes charge the measurement side
-        ops.automorphisms += u64{dnum} * ext;
-    ops.polyMults += 2 * u64{dnum} * ext;
-    ops.polyAdds += 2 * u64{dnum} * ext;
-    countMults(2 * u64{dnum} * ext);
-    countAdds(2 * u64{dnum} * ext);
-    // Per tower: each MAC pass streams only its hint tower (the digit
-    // residue is read once and then cache-resident, the accumulators
-    // are written back once at the end); gathers charge themselves.
-    countMemPass(2 * u64{dnum} * ext,
-                 u64{ext} * n *
-                     (16 * u64{dnum} + (galois == 1 ? 8 * u64{dnum} : 0) +
-                      16));
-
-    const AutomorphismMap *map =
-        galois != 1 ? &ctx_.chain().automorphism(galois) : nullptr;
-
-    // Per-digit position maps from our chain indices into the hint
-    // towers (the same mapping addMulAssign builds per call).
-    auto posOf = [&](const RnsPoly &p) {
-        std::vector<std::size_t> pos(ext);
-        for (std::size_t t = 0; t < ext; ++t) {
-            const unsigned ci = digits.extIdx[t];
-            const std::vector<unsigned> &mi = p.modIdx();
-            std::size_t s = 0;
-            while (s < mi.size() && mi[s] != ci)
-                ++s;
-            CL_ASSERT(s < mi.size(), "innerProduct: chain index ", ci,
-                      " missing from hint");
-            pos[t] = s;
-        }
-        return pos;
-    };
-    std::vector<std::vector<std::size_t>> bpos, apos;
-    bpos.reserve(dnum);
-    apos.reserve(dnum);
-    for (unsigned j = 0; j < dnum; ++j) {
-        bpos.push_back(posOf(ksk.b[j]));
-        apos.push_back(posOf(ksk.a[j]));
-    }
-
-    RnsPoly acc0(RnsPoly::Uninit{}, ctx_.chain(), digits.extIdx, true);
-    RnsPoly acc1(RnsPoly::Uninit{}, ctx_.chain(), digits.extIdx, true);
-    const KernelTable &K = kernels();
-    parallelFor(0, ext, [&](std::size_t t) {
-        const u64 q = ctx_.chain().modulus(digits.extIdx[t]);
-        u64 *a0 = acc0.residue(t).data();
-        u64 *a1 = acc1.residue(t).data();
-        std::fill_n(a0, n, u64{0});
-        std::fill_n(a1, n, u64{0});
-        static thread_local std::vector<u64> buf;
-        if (map)
-            buf.resize(n);
-        for (unsigned j = 0; j < dnum; ++j) {
-            const u64 *u = digits.u[j].residue(t).data();
-            if (map) {
-                map->applyNtt(u, buf.data());
-                u = buf.data();
-            }
-            K.mulAddModVec(a0, ksk.b[j].residue(bpos[j][t]).data(), u, n,
-                           q);
-            K.mulAddModVec(a1, ksk.a[j].residue(apos[j][t]).data(), u, n,
-                           q);
-        }
-    });
-    return {std::move(acc0), std::move(acc1)};
-}
-
 RnsPoly
 Evaluator::modDown(const RnsPoly &acc) const
 {
@@ -415,7 +308,6 @@ Evaluator::modDown(const RnsPoly &acc) const
     countMults(l);
     countAdds(l);
     countMemPass(l, u64{l} * 24 * ctx_.n());
-    const bool fuse = fusionEnabled();
     RnsPoly out(RnsPoly::Uninit{}, ctx_.chain(), ctx_.dataIdx(l), true);
     parallelFor(0, l, [&](std::size_t t) {
         const u64 q = ctx_.chain().modulus(t);
@@ -424,21 +316,11 @@ Evaluator::modDown(const RnsPoly &acc) const
         for (unsigned i : special_idx)
             p_mod_q = mulMod(p_mod_q, ctx_.chain().modulus(i) % q, q);
         const ShoupMul p_inv(invMod(p_mod_q, q), q);
-        if (fuse) {
-            // Single-pass epilogue (DESIGN.md §5e): leave the forward
-            // NTT in its lazy [0, 4q) window and fold the correction
-            // into the subtract-multiply sweep.
-            ctx_.chain().ntt(t).forwardLazy(conv_out[t].data());
-            kernels().nttCorrectSubMulShoupVec(
-                out.residue(t).data(), acc.residue(t).data(),
-                conv_out[t].data(), ctx_.n(), p_inv.w, p_inv.wPrec, q);
-        } else {
-            ctx_.chain().ntt(t).forward(conv_out[t].data());
-            kernels().subMulShoupVec(out.residue(t).data(),
-                                     acc.residue(t).data(),
-                                     conv_out[t].data(), ctx_.n(),
-                                     p_inv.w, p_inv.wPrec, q);
-        }
+        ctx_.chain().ntt(t).forward(conv_out[t].data());
+        kernels().subMulShoupVec(out.residue(t).data(),
+                                 acc.residue(t).data(),
+                                 conv_out[t].data(), ctx_.n(), p_inv.w,
+                                 p_inv.wPrec, q);
     });
     return out;
 }
@@ -448,7 +330,7 @@ Evaluator::keySwitch(const RnsPoly &d, const SwitchKey &ksk) const
 {
     CL_ASSERT(ksk.alphaKs >= 1, "uninitialized switch key");
     const KeySwitchDigits digits = decompose(d, ksk.alphaKs);
-    auto [acc0, acc1] = innerProduct(digits, ksk, /*galois=*/1);
+    auto [acc0, acc1] = innerProduct(digits, ksk);
     return {modDown(acc0), modDown(acc1)};
 }
 
@@ -586,10 +468,8 @@ Evaluator::rotateByGaloisHoisted(const Ciphertext &a, std::size_t galois,
     RnsPoly c0_rot = a.c0.automorphism(galois);
     ctx_.ops().automorphisms += a.level();
 
-    // Digit rotation fused into the inner product: the permuted digit
-    // residues are gathered tower by tower inside the MAC sweep
-    // instead of materializing a rotated KeySwitchDigits.
-    auto [acc0, acc1] = innerProduct(digits, key, galois);
+    const KeySwitchDigits rot = automorphismDigits(digits, galois);
+    auto [acc0, acc1] = innerProduct(rot, key);
     RnsPoly k0 = modDown(acc0);
     RnsPoly k1 = modDown(acc1);
     Ciphertext r;

@@ -136,21 +136,6 @@ class Evaluator
     innerProduct(const KeySwitchDigits &digits, const SwitchKey &ksk) const;
 
     /**
-     * Fused stage 2 with an optional digit automorphism: equivalent to
-     * `innerProduct(automorphismDigits(digits, galois), ksk)` but tiled
-     * tower-major — for each extended-basis tower, the permuted digit
-     * residue is gathered into a cache-resident scratch block and
-     * immediately MACed into both accumulators across all dnum digits,
-     * so the rotated digits never materialize as full polynomials.
-     * Bit-identical to the composed sequence (galois = 1 skips the
-     * gather). Under CL_FUSE=0 this delegates to exactly that composed
-     * sequence.
-     */
-    std::pair<RnsPoly, RnsPoly>
-    innerProduct(const KeySwitchDigits &digits, const SwitchKey &ksk,
-                 std::size_t galois) const;
-
-    /**
      * Stage 3: divide an extended-basis accumulator by P and return it
      * on the data basis (Listing 1 lines 7-10). The special towers are
      * identified by chain index (>= l), so any ext-basis polynomial —

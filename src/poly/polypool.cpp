@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/common.h"
+#include "util/env.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define CL_POOL_UNDER_ASAN 1
@@ -54,19 +55,7 @@ envEnabled()
 std::size_t
 threadCapBytes()
 {
-    static const std::size_t cap = [] {
-        std::size_t mb = 256;
-        if (const char *env = std::getenv("CL_POOL_MB")) {
-            char *end = nullptr;
-            const long v = std::strtol(env, &end, 10);
-            if (end != env && v >= 0)
-                mb = static_cast<std::size_t>(v);
-            else
-                warn(std::string("ignoring malformed CL_POOL_MB='") +
-                     env + "'");
-        }
-        return mb << 20;
-    }();
+    static const std::size_t cap = polyPoolThreadCapBytes();
     return cap;
 }
 
@@ -124,6 +113,17 @@ void
 polyPoolSetEnabled(bool on)
 {
     g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+}
+
+std::size_t
+polyPoolThreadCapBytes()
+{
+    constexpr std::uint64_t kDefaultMb = 256;
+    // The largest MiB count whose byte cap still fits a size_t.
+    constexpr std::uint64_t kMaxMb = SIZE_MAX >> 20;
+    return static_cast<std::size_t>(
+               envUnsigned("CL_POOL_MB", kDefaultMb, 0, kMaxMb))
+           << 20;
 }
 
 PolyPoolStats

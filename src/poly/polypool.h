@@ -59,6 +59,12 @@ bool polyPoolEnabled();
  *  pass-through allocation in one process). Safe mid-run. */
 void polyPoolSetEnabled(bool on);
 
+/** Per-thread parked-byte cap that CL_POOL_MB asks for (default
+ *  256 MiB; a malformed or overflowing value warns and keeps the
+ *  default). Reads the environment on every call; the pool itself
+ *  resolves it once. */
+std::size_t polyPoolThreadCapBytes();
+
 PolyPoolStats polyPoolStats();
 void polyPoolResetStats();
 

@@ -62,62 +62,8 @@ void
 BaseConverter::convert(const std::vector<ResidueView> &in,
                        std::vector<std::vector<u64>> &out) const
 {
-    if (!fusionEnabled()) {
-        std::vector<std::vector<u64>> scaled;
-        convertKeepScaled(in, scaled, out);
-        return;
-    }
-
-    // Tiled pipeline (DESIGN.md §5e): process the coefficient axis in
-    // blocks sized so the ls scaled source rows of one block fit in
-    // cache, running the Shoup scale and every destination MAC row on
-    // the block before moving on. The scaled residues never round-trip
-    // DRAM — the tiled analog of the CRB unit holding running sums in
-    // its residue-poly buffers. Per-coefficient results are the same
-    // canonical values as the untiled path, so the output is
-    // bit-identical.
-    const std::size_t ls = src_.size();
-    const std::size_t ld = dst_.size();
-    const std::size_t n = chain_.n();
-    CL_ASSERT(in.size() == ls, "base conversion: got ", in.size(),
-              " source residues, expected ", ls);
-
-    const KernelTable &K = kernels();
-    countMults(ls + ls * ld);
-    countAdds(ls * ld);
-    // Each source row is read once and each destination row written
-    // once; the scratch block is cache-resident and uncharged.
-    countMemPass(ls + ld, u64{ls + ld} * 8 * n);
-
-    // ls * block words of scratch per worker, capped near L2 size and
-    // kept a vector multiple so block boundaries stay lane-aligned.
-    constexpr std::size_t kTileWords = std::size_t{1} << 15;
-    std::size_t block = std::max<std::size_t>(kTileWords / ls, 64);
-    block &= ~std::size_t{7};
-    block = std::min(block, n);
-    const std::size_t n_blocks = (n + block - 1) / block;
-
-    out.assign(ld, std::vector<u64>(n));
-    parallelFor(0, n_blocks, [&](std::size_t b) {
-        const std::size_t off = b * block;
-        const std::size_t len = std::min(block, n - off);
-        static thread_local std::vector<u64> scratch;
-        static thread_local std::vector<const u64 *> xs;
-        scratch.resize(ls * block);
-        xs.resize(ls);
-        for (std::size_t i = 0; i < ls; ++i) {
-            const u64 qi = chain_.modulus(src_[i]);
-            const ShoupMul &s = qHatInv_[i];
-            K.mulModShoupVec(scratch.data() + i * block,
-                             in[i].data() + off, len, s.w, s.wPrec, qi);
-            xs[i] = scratch.data() + i * block;
-        }
-        for (std::size_t j = 0; j < ld; ++j) {
-            const u64 pj = chain_.modulus(dst_[j]);
-            K.baseconvMacVec(out[j].data() + off, xs.data(),
-                             qHatT_[j].data(), ls, len, pj, srcMax_);
-        }
-    });
+    std::vector<std::vector<u64>> scaled;
+    convertKeepScaled(in, scaled, out);
 }
 
 void

@@ -40,14 +40,16 @@ NttTables::NttTables(std::size_t n, u64 q) : n_(n), q_(q)
 }
 
 void
-NttTables::forwardLazy(u64 *a) const
+NttTables::forward(u64 *a) const
 {
     countNtts(1);
-    countMemPass(logN_, u64{logN_} * 8 * n_);
+    // logN butterfly stages plus the correction pass.
+    countMemPass(logN_ + 1, u64{logN_ + 1} * 8 * n_);
     // Merged negacyclic Cooley-Tukey with Harvey lazy reduction:
     // operands ride in [0, 4q) between stages, each butterfly does one
     // conditional 2q-subtract plus one lazy Shoup multiply (no final
-    // subtract). Same dataflow the hardware NTT FUs pipeline; the lazy
+    // subtract), and a single correction pass at the end restores
+    // [0, q). Same dataflow the hardware NTT FUs pipeline; the lazy
     // window is the software analogue of their redundant-digit
     // arithmetic. Long butterfly blocks go through the SIMD kernel
     // table; every backend computes the identical lazy formula, so
@@ -76,84 +78,17 @@ NttTables::forwardLazy(u64 *a) const
             }
         }
     }
-}
-
-void
-NttTables::forward(u64 *a) const
-{
-    // Stages leave operands in [0, 4q); a single correction pass
-    // restores [0, q).
-    forwardLazy(a);
-    kernels().nttCorrectVec(a, n_, q_);
-    countMemPass(1, u64{8} * n_);
-}
-
-void
-NttTables::forwardRescale(u64 *a, const u64 *xl,
-                          const RescaleConsts &rc) const
-{
-    countNtts(1);
-    if (n_ == 1) { // degenerate transform: the correction is the op
-        countMemPass(1, 24);
-        a[0] = rescaleCorrectScalar(a[0], xl[0], rc, q_);
-        return;
-    }
-    // Stage 1 reads xl alongside a; the remaining stages and the
-    // correction pass match forward() exactly.
-    countMemPass(logN_ + 1, u64{logN_ + 1} * 8 * n_ + u64{8} * n_);
-    const KernelTable &K = kernels();
-    const u64 q = q_;
-    const u64 two_q = 2 * q;
-    // Stage m=1: one block of t = N/2 with twiddle fwdTwiddles_[1],
-    // with the rescale correction applied to both halves on load. The
-    // corrected values are canonical, so the composed stage's 2q-fold
-    // on the upper half is a no-op and the outputs match composed.
-    std::size_t t = n_ >> 1;
-    const ShoupMul &w1 = fwdTwiddles_[1];
-    if (t >= kNttVecMinBlock) {
-        K.rescaleNttFwdButterflyVec(a, a + t, xl, xl + t, t, &rc, w1.w,
-                                    w1.wPrec, q);
-    } else {
-        for (std::size_t j = 0; j < t; ++j) {
-            const u64 cx = rescaleCorrectScalar(a[j], xl[j], rc, q);
-            const u64 cy = rescaleCorrectScalar(a[j + t], xl[j + t], rc,
-                                                q);
-            const u64 v = w1.mulLazy(cy, q); // [0, 2q)
-            a[j] = cx + v;                   // [0, 3q)
-            a[j + t] = cx + two_q - v;       // (0, 3q)
-        }
-    }
-    // Stages m >= 2: identical to forward().
-    for (std::size_t m = 2; m < n_; m <<= 1) {
-        t >>= 1;
-        for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t j1 = 2 * i * t;
-            const ShoupMul &w = fwdTwiddles_[m + i];
-            if (t >= kNttVecMinBlock) {
-                K.nttFwdButterflyVec(a + j1, a + j1 + t, t, w.w, w.wPrec,
-                                     q);
-                continue;
-            }
-            for (std::size_t j = j1; j < j1 + t; ++j) {
-                u64 x = a[j];
-                x -= two_q * (x >= two_q);
-                const u64 v = w.mulLazy(a[j + t], q);
-                a[j] = x + v;
-                a[j + t] = x + two_q - v;
-            }
-        }
-    }
     K.nttCorrectVec(a, n_, q);
 }
 
 void
-NttTables::inverseLazy(u64 *a) const
+NttTables::inverse(u64 *a) const
 {
     countNtts(1);
-    countMemPass(logN_, u64{logN_} * 8 * n_);
-    // Gentleman-Sande with operands lazily held in [0, 2q); the N^-1
-    // scaling (and with it the full reduction to [0, q)) is left to
-    // the caller's epilogue.
+    // logN butterfly stages plus the scaling pass.
+    countMemPass(logN_ + 1, u64{logN_ + 1} * 8 * n_);
+    // Gentleman-Sande with operands lazily held in [0, 2q); the final
+    // N^-1 scaling pass performs the full reduction to [0, q).
     const KernelTable &K = kernels();
     const u64 q = q_;
     const u64 two_q = 2 * q;
@@ -181,54 +116,7 @@ NttTables::inverseLazy(u64 *a) const
         }
         t <<= 1;
     }
-}
-
-void
-NttTables::inverse(u64 *a) const
-{
-    const KernelTable &K = kernels();
-    const u64 q = q_;
-    const u64 two_q = 2 * q;
-    const std::size_t half = n_ >> 1;
-    if (fusionEnabled() && half >= kNttVecMinBlock) {
-        // Fused path: run the GS stages down to m=4, then one kernel
-        // computes the last stage (a single block of t = N/2 with
-        // twiddle invTwiddles_[1]) together with the N^-1 scaling —
-        // the composed sequence's final two passes in one.
-        countNtts(1);
-        countMemPass(logN_, u64{logN_} * 8 * n_);
-        std::size_t t = 1;
-        for (std::size_t m = n_; m > 2; m >>= 1) {
-            const std::size_t h = m >> 1;
-            std::size_t j1 = 0;
-            for (std::size_t i = 0; i < h; ++i) {
-                const ShoupMul &w = invTwiddles_[h + i];
-                if (t >= kNttVecMinBlock) {
-                    K.nttInvButterflyVec(a + j1, a + j1 + t, t, w.w,
-                                         w.wPrec, q);
-                    j1 += 2 * t;
-                    continue;
-                }
-                for (std::size_t j = j1; j < j1 + t; ++j) {
-                    const u64 x = a[j];
-                    const u64 y = a[j + t];
-                    u64 s = x + y;
-                    s -= two_q * (s >= two_q);
-                    a[j] = s;
-                    a[j + t] = w.mulLazy(x + two_q - y, q);
-                }
-                j1 += 2 * t;
-            }
-            t <<= 1;
-        }
-        const ShoupMul &w = invTwiddles_[1];
-        K.nttInvScaleButterflyVec(a, a + half, half, w.w, w.wPrec,
-                                  nInv_.w, nInv_.wPrec, q);
-        return;
-    }
-    inverseLazy(a);
     K.nttScaleInvVec(a, n_, nInv_.w, nInv_.wPrec, q);
-    countMemPass(1, u64{8} * n_);
 }
 
 } // namespace cl

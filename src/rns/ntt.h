@@ -23,8 +23,6 @@
 
 namespace cl {
 
-struct RescaleConsts;
-
 /**
  * Precomputed twiddle tables for one (N, q) pair. Immutable after
  * construction; shared by all polynomials over the same modulus.
@@ -47,34 +45,6 @@ class NttTables
 
     /** In-place inverse negacyclic NTT. */
     void inverse(u64 *a) const;
-
-    // ---- Fused-pipeline entry points (DESIGN.md §5e) --------------
-    // The lazy variants run only the butterfly stages, leaving the
-    // final correction/scaling to a fused epilogue kernel at the call
-    // site; forwardRescale absorbs the rescale correction into the
-    // first butterfly stage. Each counts as one NTT — the stage work
-    // is identical, only the boundary passes move.
-
-    /** Forward stages only: output in the lazy [0, 4q) window (the
-     *  nttCorrectVec pass is the caller's, fused into its epilogue). */
-    void forwardLazy(u64 *a) const;
-
-    /** Inverse stages only: output in [0, 2q), not scaled by N^-1
-     *  (the scaling pass is the caller's, fused into its epilogue). */
-    void inverseLazy(u64 *a) const;
-
-    /**
-     * Forward NTT with the per-coefficient rescale correction
-     * (`rescaleCorrectScalar(a[i], xl[i], rc, q)`) fused into the
-     * first butterfly stage: single-pass replacement for the rescale
-     * subtract/multiply passes plus `forward`'s first stage. @p xl is
-     * the dropped tower's canonical residues (coefficient domain).
-     */
-    void forwardRescale(u64 *a, const u64 *xl,
-                        const RescaleConsts &rc) const;
-
-    /** Shoup pair for N^-1 mod q (fused iNTT epilogues). */
-    const ShoupMul &nInv() const { return nInv_; }
 
     /** psi = primitive 2N-th root of unity used by this table. */
     u64 psi() const { return psi_; }

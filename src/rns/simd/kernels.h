@@ -68,50 +68,6 @@ enum class SimdBackend
 constexpr u64 kSimdNarrowModulusBound = u64{1} << 30;
 
 /**
- * Precomputed constants for the fused rescale epilogue/prologue
- * kernels: the Shoup pair for N^-1 mod q (identity pair {1, 2^64/q}
- * on the coefficient-domain path, where no scale is pending), the
- * dropped modulus q_l with its centering offset half = q_l/2, and
- * the Shoup pair for q_l^-1 mod q. Passed by pointer through the
- * kernel table so the signatures stay plain-C friendly.
- */
-struct RescaleConsts
-{
-    u64 nInvW;
-    u64 nInvPrec;
-    u64 ql;
-    u64 half;
-    u64 qlInvW;
-    u64 qlInvPrec;
-};
-
-/**
- * The per-coefficient rescale correction, exactly as the composed
- * sequence computes it: fold the lazy iNTT representative to
- * canonical via mulLazy(a, nInv) + one conditional subtract, center
- * the last-tower residue x_l, reduce it mod q, subtract, and multiply
- * by q_l^-1 (canonical Shoup). Both the scalar backend and the vector
- * backends' tail loops call this, so every backend computes the same
- * integer formula — the bit-identity contract extends to the fused
- * kernels.
- */
-inline u64
-rescaleCorrectScalar(u64 a, u64 xlv, const RescaleConsts &rc, u64 q)
-{
-    const u64 hi = static_cast<u64>(
-        (static_cast<unsigned __int128>(a) * rc.nInvPrec) >> 64);
-    const u64 r = a * rc.nInvW - hi * q;
-    const u64 v = r >= q ? r - q : r;
-    const u64 xs = addMod(xlv, rc.half, rc.ql);
-    const u64 xm = subMod(xs % q, rc.half % q, q);
-    const u64 d = subMod(v, xm, q);
-    const u64 h2 = static_cast<u64>(
-        (static_cast<unsigned __int128>(d) * rc.qlInvPrec) >> 64);
-    const u64 r2 = d * rc.qlInvW - h2 * q;
-    return r2 >= q ? r2 - q : r2;
-}
-
-/**
  * The dispatch table. All pointers are non-null in every backend.
  * Unless noted, kernels accept unaligned pointers and any length
  * (vector bodies handle the tail with the scalar reference).
@@ -194,61 +150,6 @@ struct KernelTable
      *  N^-1 mod q. */
     void (*nttScaleInvVec)(u64 *a, std::size_t n, u64 w, u64 wPrec,
                            u64 q);
-
-    // ---- Fused pipeline kernels (CL_FUSE, DESIGN.md §5e) ----------
-    // Each computes exactly the composed per-coefficient integer
-    // formula of the two(+) kernels it replaces, including the Harvey
-    // lazy representatives, in a single pass over the operands.
-
-    /**
-     * Last Gentleman-Sande butterfly stage fused with the N^-1
-     * scaling epilogue (the iNTT's final two passes in one):
-     * for j in [0, t):  s = x[j] + y[j] - 2q*(.. >= 2q)
-     *                   m = mulLazy(x[j] + 2q - y[j], w)
-     *                   x[j] = fold_q(mulLazy(s, nw))
-     *                   y[j] = fold_q(mulLazy(m, nw)).
-     * Inputs in [0, 2q); outputs canonical. (nw, nwPrec) is the Shoup
-     * pair for N^-1 mod q; q < 2^62.
-     */
-    void (*nttInvScaleButterflyVec)(u64 *x, u64 *y, std::size_t t, u64 w,
-                                    u64 wPrec, u64 nw, u64 nwPrec, u64 q);
-
-    /**
-     * Rescale epilogue: a[i] = rescaleCorrectScalar(a[i], xl[i], rc, q)
-     * — iNTT scale fold, centered last-tower subtract, and q_l^-1
-     * multiply in one pass. On the coefficient-domain path rc's nInv
-     * pair is the exact identity {1, 2^64/q} (mulLazy(x, 1) == x for
-     * x < q), so one kernel serves both domains bit-identically.
-     * a in [0, 2q) (NTT path) or [0, q) (coeff path); xl < ql.
-     */
-    void (*rescaleEpilogueVec)(u64 *a, const u64 *xl, std::size_t n,
-                               const RescaleConsts *rc, u64 q);
-
-    /**
-     * Rescale correction fused into the first forward-CT butterfly
-     * stage (the rescale's subtract/multiply passes plus the NTT's
-     * first pass in one): for j in [0, t):
-     *   cx = rescaleCorrectScalar(x[j], xlx[j], rc, q)   (canonical)
-     *   cy = rescaleCorrectScalar(y[j], xly[j], rc, q)
-     *   v  = mulLazy(cy, w)
-     *   x[j] = cx + v;  y[j] = cx + 2q - v.
-     * The composed stage-1 fold of canonical cx is a no-op, so the
-     * outputs match the composed sequence exactly. q < 2^62.
-     */
-    void (*rescaleNttFwdButterflyVec)(u64 *x, u64 *y, const u64 *xlx,
-                                      const u64 *xly, std::size_t t,
-                                      const RescaleConsts *rc, u64 w,
-                                      u64 wPrec, u64 q);
-
-    /**
-     * modDown epilogue: fold x[i] from the forward NTT's lazy [0, 4q)
-     * to canonical (two conditional subtracts, exactly nttCorrectVec),
-     * then dst[i] = (acc[i] - x_c) * w mod q — the NTT correction pass
-     * and subMulShoupVec in one. acc < q; dst must not alias x.
-     */
-    void (*nttCorrectSubMulShoupVec)(u64 *dst, const u64 *acc,
-                                     const u64 *x, std::size_t n, u64 w,
-                                     u64 wPrec, u64 q);
 };
 
 /**
@@ -273,36 +174,6 @@ bool setSimdBackend(SimdBackend backend);
 
 /** Human-readable backend name ("scalar", "avx2", "avx512"). */
 const char *simdBackendName(SimdBackend backend);
-
-/**
- * Whether the fused single-pass pipelines (rescale/modDown epilogues,
- * tower-tiled keyswitch inner product, tiled base conversion) are
- * engaged. Resolved once from CL_FUSE (default on; CL_FUSE=0 falls
- * back to the composed multi-pass sequences). Fused and composed
- * paths are bit-identical by construction; the escape hatch exists
- * for differential testing and perf comparison, not correctness.
- */
-bool fusionEnabled();
-
-/** Override the fusion gate (tests/benchmarks sweeping both paths).
- *  Must not race with in-flight evaluator calls. */
-void setFusionEnabled(bool enabled);
-
-/**
- * Working-set floor for the tower-tiled keyswitch inner product: the
- * tiled sweep engages only when one extended-basis digit image
- * (towers * N * 8 bytes) is at least this large. Below the floor the
- * whole inner product is already cache-resident and the composed
- * per-digit path is faster — tiling is a bandwidth optimization, not
- * an ALU one. Resolved once from CL_FUSE_TILE (bytes; default 1 MiB;
- * 0 forces tiling whenever fusion is on). Both paths are
- * bit-identical, so the floor only moves the crossover point.
- */
-u64 fusionTileMinBytes();
-
-/** Override the tile floor (tests forcing the tiled path at small N).
- *  Must not race with in-flight evaluator calls. */
-void setFusionTileMinBytes(u64 bytes);
 
 } // namespace cl
 

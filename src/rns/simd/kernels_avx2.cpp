@@ -400,165 +400,6 @@ nttScaleInvVec(u64 *a, std::size_t n, u64 w, u64 wPrec, u64 q)
     ref::nttScaleInvVec(a + i, n - i, w, wPrec, q);
 }
 
-// --- Fused pipeline kernels (DESIGN.md §5e) ----------------------------
-
-/** Vector-splatted RescaleConsts; built once per kernel call. Also
- *  requires narrow(ql) so xs = xl + half stays below 2^32. */
-struct RescaleVec
-{
-    Split32 nInvPrec, qlInvPrec, mq;
-    __m256i nInvW, qlInvW, qlv, qlm1, halfv, halfModQ, qv, qm1;
-
-    RescaleVec(const RescaleConsts &rc, u64 q)
-        : nInvPrec(rc.nInvPrec), qlInvPrec(rc.qlInvPrec),
-          mq(static_cast<u64>((u128{1} << 64) / q)), nInvW(set1(rc.nInvW)),
-          qlInvW(set1(rc.qlInvW)), qlv(set1(rc.ql)), qlm1(set1(rc.ql - 1)),
-          halfv(set1(rc.half)), halfModQ(set1(rc.half % q)), qv(set1(q)),
-          qm1(set1(q - 1))
-    {
-    }
-};
-
-/** rescaleCorrectScalar on 4 lanes; a < 2q, xl < ql, both narrow. */
-inline __m256i
-rescaleCorrect(__m256i a, __m256i xl, const RescaleVec &c)
-{
-    // v = fold_q(mulLazy(a, nInv)); exact: a < 2q < 2^31.
-    const __m256i v =
-        csub(shoupMulLazy(a, c.nInvW, c.nInvPrec, c.qv), c.qv, c.qm1);
-    // xs = addMod(xl, half, ql).
-    const __m256i xs = csub(_mm256_add_epi64(xl, c.halfv), c.qlv, c.qlm1);
-    // xs mod q: two-product Barrett, quotient off by at most 1 for
-    // xs < 2^32 -> one conditional subtract (as in baseconvMacVec).
-    const __m256i hi = mulHi64Narrow(xs, c.mq);
-    __m256i t = _mm256_sub_epi64(xs, mul32(hi, c.qv));
-    t = csub(t, c.qv, c.qm1);
-    // xm = subMod(xs mod q, half mod q, q).
-    __m256i borrow = _mm256_cmpgt_epi64(c.halfModQ, t);
-    const __m256i xm = _mm256_add_epi64(_mm256_sub_epi64(t, c.halfModQ),
-                                        _mm256_and_si256(c.qv, borrow));
-    // d = subMod(v, xm, q).
-    borrow = _mm256_cmpgt_epi64(xm, v);
-    const __m256i d = _mm256_add_epi64(_mm256_sub_epi64(v, xm),
-                                       _mm256_and_si256(c.qv, borrow));
-    // Canonical Shoup multiply by ql^-1.
-    return csub(shoupMulLazy(d, c.qlInvW, c.qlInvPrec, c.qv), c.qv, c.qm1);
-}
-
-void
-nttInvScaleButterflyVec(u64 *x, u64 *y, std::size_t t, u64 w, u64 wPrec,
-                        u64 nw, u64 nwPrec, u64 q)
-{
-    if (!narrow(q))
-        return ref::nttInvScaleButterflyVec(x, y, t, w, wPrec, nw,
-                                            nwPrec, q);
-    const Split32 wp(wPrec), nwp(nwPrec);
-    const __m256i wv = set1(w), nwv = set1(nw), qv = set1(q);
-    const __m256i qm1 = set1(q - 1);
-    const __m256i two_q = set1(2 * q), two_qm1 = set1(2 * q - 1);
-    std::size_t j = 0;
-    for (; j + 4 <= t; j += 4) {
-        const __m256i xv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(x + j));
-        const __m256i yv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(y + j));
-        const __m256i s =
-            csub(_mm256_add_epi64(xv, yv), two_q, two_qm1);
-        const __m256i u =
-            _mm256_sub_epi64(_mm256_add_epi64(xv, two_q), yv); // (0,4q)
-        const __m256i mv = shoupMulLazy(u, wv, wp, qv);        // [0,2q)
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(x + j),
-            csub(shoupMulLazy(s, nwv, nwp, qv), qv, qm1));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(y + j),
-            csub(shoupMulLazy(mv, nwv, nwp, qv), qv, qm1));
-    }
-    ref::nttInvScaleButterflyVec(x + j, y + j, t - j, w, wPrec, nw,
-                                 nwPrec, q);
-}
-
-void
-rescaleEpilogueVec(u64 *a, const u64 *xl, std::size_t n,
-                   const RescaleConsts *rc, u64 q)
-{
-    if (!narrow(q) || !narrow(rc->ql))
-        return ref::rescaleEpilogueVec(a, xl, n, rc, q);
-    const RescaleVec c(*rc, q);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i av =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + i));
-        const __m256i xv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(xl + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(a + i),
-                            rescaleCorrect(av, xv, c));
-    }
-    ref::rescaleEpilogueVec(a + i, xl + i, n - i, rc, q);
-}
-
-void
-rescaleNttFwdButterflyVec(u64 *x, u64 *y, const u64 *xlx, const u64 *xly,
-                          std::size_t t, const RescaleConsts *rc, u64 w,
-                          u64 wPrec, u64 q)
-{
-    if (!narrow(q) || !narrow(rc->ql))
-        return ref::rescaleNttFwdButterflyVec(x, y, xlx, xly, t, rc, w,
-                                              wPrec, q);
-    const RescaleVec c(*rc, q);
-    const Split32 wp(wPrec);
-    const __m256i wv = set1(w), qv = set1(q), two_q = set1(2 * q);
-    std::size_t j = 0;
-    for (; j + 4 <= t; j += 4) {
-        const __m256i xv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(x + j));
-        const __m256i yv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(y + j));
-        const __m256i lx = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(xlx + j));
-        const __m256i ly = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(xly + j));
-        const __m256i cx = rescaleCorrect(xv, lx, c); // [0, q)
-        const __m256i cy = rescaleCorrect(yv, ly, c); // [0, q)
-        const __m256i v = shoupMulLazy(cy, wv, wp, qv); // [0, 2q)
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(x + j),
-                            _mm256_add_epi64(cx, v));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(y + j),
-            _mm256_sub_epi64(_mm256_add_epi64(cx, two_q), v));
-    }
-    ref::rescaleNttFwdButterflyVec(x + j, y + j, xlx + j, xly + j, t - j,
-                                   rc, w, wPrec, q);
-}
-
-void
-nttCorrectSubMulShoupVec(u64 *dst, const u64 *acc, const u64 *x,
-                         std::size_t n, u64 w, u64 wPrec, u64 q)
-{
-    if (!narrow(q))
-        return ref::nttCorrectSubMulShoupVec(dst, acc, x, n, w, wPrec, q);
-    const Split32 wp(wPrec);
-    const __m256i wv = set1(w), qv = set1(q), qm1 = set1(q - 1);
-    const __m256i two_q = set1(2 * q), two_qm1 = set1(2 * q - 1);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        __m256i c =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(x + i));
-        c = csub(c, two_q, two_qm1);
-        c = csub(c, qv, qm1); // canonical
-        const __m256i av = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(acc + i));
-        const __m256i borrow = _mm256_cmpgt_epi64(c, av);
-        const __m256i d = _mm256_add_epi64(
-            _mm256_sub_epi64(av, c), _mm256_and_si256(qv, borrow));
-        const __m256i r = shoupMulLazy(d, wv, wp, qv);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            csub(r, qv, qm1));
-    }
-    ref::nttCorrectSubMulShoupVec(dst + i, acc + i, x + i, n - i, w,
-                                  wPrec, q);
-}
-
 } // namespace
 
 const KernelTable *
@@ -580,10 +421,6 @@ avx2Table()
         &nttInvButterflyVec,
         &nttCorrectVec,
         &nttScaleInvVec,
-        &nttInvScaleButterflyVec,
-        &rescaleEpilogueVec,
-        &rescaleNttFwdButterflyVec,
-        &nttCorrectSubMulShoupVec,
     };
     return &table;
 }

@@ -339,145 +339,6 @@ nttScaleInvVec(u64 *a, std::size_t n, u64 w, u64 wPrec, u64 q)
     ref::nttScaleInvVec(a + i, n - i, w, wPrec, q);
 }
 
-// --- Fused pipeline kernels (DESIGN.md §5e) ----------------------------
-
-/** Vector-splatted RescaleConsts; built once per kernel call. Also
- *  requires narrow(ql) so xs = xl + half stays below 2^32. */
-struct RescaleVec
-{
-    Split32 nInvPrec, qlInvPrec, mq;
-    __m512i nInvW, qlInvW, qlv, halfv, halfModQ, qv;
-
-    RescaleVec(const RescaleConsts &rc, u64 q)
-        : nInvPrec(rc.nInvPrec), qlInvPrec(rc.qlInvPrec),
-          mq(static_cast<u64>((u128{1} << 64) / q)), nInvW(set1(rc.nInvW)),
-          qlInvW(set1(rc.qlInvW)), qlv(set1(rc.ql)), halfv(set1(rc.half)),
-          halfModQ(set1(rc.half % q)), qv(set1(q))
-    {
-    }
-};
-
-/** rescaleCorrectScalar on 8 lanes; a < 2q, xl < ql, both narrow. */
-inline __m512i
-rescaleCorrect(__m512i a, __m512i xl, const RescaleVec &c)
-{
-    // v = fold_q(mulLazy(a, nInv)); exact: a < 2q < 2^31.
-    const __m512i v = csub(shoupMulLazy(a, c.nInvW, c.nInvPrec, c.qv),
-                           c.qv);
-    // xs = addMod(xl, half, ql).
-    const __m512i xs = csub(_mm512_add_epi64(xl, c.halfv), c.qlv);
-    // xs mod q: two-product Barrett, quotient off by at most 1 for
-    // xs < 2^32 -> one conditional subtract (as in baseconvMacVec).
-    const __m512i hi = mulHi64Narrow(xs, c.mq);
-    __m512i t = _mm512_sub_epi64(xs, mul32(hi, c.qv));
-    t = csub(t, c.qv);
-    // xm = subMod(xs mod q, half mod q, q).
-    __mmask8 borrow = _mm512_cmplt_epu64_mask(t, c.halfModQ);
-    __m512i xm = _mm512_sub_epi64(t, c.halfModQ);
-    xm = _mm512_mask_add_epi64(xm, borrow, xm, c.qv);
-    // d = subMod(v, xm, q).
-    borrow = _mm512_cmplt_epu64_mask(v, xm);
-    __m512i d = _mm512_sub_epi64(v, xm);
-    d = _mm512_mask_add_epi64(d, borrow, d, c.qv);
-    // Canonical Shoup multiply by ql^-1.
-    return csub(shoupMulLazy(d, c.qlInvW, c.qlInvPrec, c.qv), c.qv);
-}
-
-void
-nttInvScaleButterflyVec(u64 *x, u64 *y, std::size_t t, u64 w, u64 wPrec,
-                        u64 nw, u64 nwPrec, u64 q)
-{
-    if (!narrow(q))
-        return ref::nttInvScaleButterflyVec(x, y, t, w, wPrec, nw,
-                                            nwPrec, q);
-    const Split32 wp(wPrec), nwp(nwPrec);
-    const __m512i wv = set1(w), nwv = set1(nw), qv = set1(q);
-    const __m512i two_q = set1(2 * q);
-    std::size_t j = 0;
-    for (; j + 8 <= t; j += 8) {
-        const __m512i xv = _mm512_loadu_si512(x + j);
-        const __m512i yv = _mm512_loadu_si512(y + j);
-        const __m512i s = csub(_mm512_add_epi64(xv, yv), two_q);
-        const __m512i u =
-            _mm512_sub_epi64(_mm512_add_epi64(xv, two_q), yv); // (0,4q)
-        const __m512i mv = shoupMulLazy(u, wv, wp, qv);        // [0,2q)
-        _mm512_storeu_si512(
-            x + j, csub(shoupMulLazy(s, nwv, nwp, qv), qv));
-        _mm512_storeu_si512(
-            y + j, csub(shoupMulLazy(mv, nwv, nwp, qv), qv));
-    }
-    ref::nttInvScaleButterflyVec(x + j, y + j, t - j, w, wPrec, nw,
-                                 nwPrec, q);
-}
-
-void
-rescaleEpilogueVec(u64 *a, const u64 *xl, std::size_t n,
-                   const RescaleConsts *rc, u64 q)
-{
-    if (!narrow(q) || !narrow(rc->ql))
-        return ref::rescaleEpilogueVec(a, xl, n, rc, q);
-    const RescaleVec c(*rc, q);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i av = _mm512_loadu_si512(a + i);
-        const __m512i xv = _mm512_loadu_si512(xl + i);
-        _mm512_storeu_si512(a + i, rescaleCorrect(av, xv, c));
-    }
-    ref::rescaleEpilogueVec(a + i, xl + i, n - i, rc, q);
-}
-
-void
-rescaleNttFwdButterflyVec(u64 *x, u64 *y, const u64 *xlx, const u64 *xly,
-                          std::size_t t, const RescaleConsts *rc, u64 w,
-                          u64 wPrec, u64 q)
-{
-    if (!narrow(q) || !narrow(rc->ql))
-        return ref::rescaleNttFwdButterflyVec(x, y, xlx, xly, t, rc, w,
-                                              wPrec, q);
-    const RescaleVec c(*rc, q);
-    const Split32 wp(wPrec);
-    const __m512i wv = set1(w), qv = set1(q), two_q = set1(2 * q);
-    std::size_t j = 0;
-    for (; j + 8 <= t; j += 8) {
-        const __m512i xv = _mm512_loadu_si512(x + j);
-        const __m512i yv = _mm512_loadu_si512(y + j);
-        const __m512i lx = _mm512_loadu_si512(xlx + j);
-        const __m512i ly = _mm512_loadu_si512(xly + j);
-        const __m512i cx = rescaleCorrect(xv, lx, c);   // [0, q)
-        const __m512i cy = rescaleCorrect(yv, ly, c);   // [0, q)
-        const __m512i v = shoupMulLazy(cy, wv, wp, qv); // [0, 2q)
-        _mm512_storeu_si512(x + j, _mm512_add_epi64(cx, v));
-        _mm512_storeu_si512(
-            y + j, _mm512_sub_epi64(_mm512_add_epi64(cx, two_q), v));
-    }
-    ref::rescaleNttFwdButterflyVec(x + j, y + j, xlx + j, xly + j, t - j,
-                                   rc, w, wPrec, q);
-}
-
-void
-nttCorrectSubMulShoupVec(u64 *dst, const u64 *acc, const u64 *x,
-                         std::size_t n, u64 w, u64 wPrec, u64 q)
-{
-    if (!narrow(q))
-        return ref::nttCorrectSubMulShoupVec(dst, acc, x, n, w, wPrec, q);
-    const Split32 wp(wPrec);
-    const __m512i wv = set1(w), qv = set1(q), two_q = set1(2 * q);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i c = _mm512_loadu_si512(x + i);
-        c = csub(c, two_q);
-        c = csub(c, qv); // canonical
-        const __m512i av = _mm512_loadu_si512(acc + i);
-        const __mmask8 borrow = _mm512_cmplt_epu64_mask(av, c);
-        __m512i d = _mm512_sub_epi64(av, c);
-        d = _mm512_mask_add_epi64(d, borrow, d, qv);
-        _mm512_storeu_si512(dst + i,
-                            csub(shoupMulLazy(d, wv, wp, qv), qv));
-    }
-    ref::nttCorrectSubMulShoupVec(dst + i, acc + i, x + i, n - i, w,
-                                  wPrec, q);
-}
-
 } // namespace
 
 const KernelTable *
@@ -499,10 +360,6 @@ avx512Table()
         &nttInvButterflyVec,
         &nttCorrectVec,
         &nttScaleInvVec,
-        &nttInvScaleButterflyVec,
-        &rescaleEpilogueVec,
-        &rescaleNttFwdButterflyVec,
-        &nttCorrectSubMulShoupVec,
     };
     return &table;
 }

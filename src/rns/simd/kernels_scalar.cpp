@@ -25,10 +25,6 @@ scalarTable()
         &ref::nttInvButterflyVec,
         &ref::nttCorrectVec,
         &ref::nttScaleInvVec,
-        &ref::nttInvScaleButterflyVec,
-        &ref::rescaleEpilogueVec,
-        &ref::rescaleNttFwdButterflyVec,
-        &ref::nttCorrectSubMulShoupVec,
     };
     return &table;
 }

@@ -173,73 +173,6 @@ nttScaleInvVec(u64 *a, std::size_t n, u64 w, u64 wPrec, u64 q)
     }
 }
 
-// ---- Fused pipeline kernels (DESIGN.md §5e) -----------------------
-// Each loop is the literal composition of the per-coefficient
-// formulas above, so the fused reference IS the composed sequence
-// with the intermediate array store elided.
-
-inline void
-nttInvScaleButterflyVec(u64 *x, u64 *y, std::size_t t, u64 w, u64 wPrec,
-                        u64 nw, u64 nwPrec, u64 q)
-{
-    const u64 two_q = 2 * q;
-    for (std::size_t j = 0; j < t; ++j) {
-        const u64 xx = x[j]; // [0, 2q)
-        const u64 yy = y[j]; // [0, 2q)
-        u64 s = xx + yy;     // [0, 4q)
-        s -= two_q * (s >= two_q);
-        const u64 u = xx + two_q - yy; // (0, 4q)
-        const u64 hi = static_cast<u64>(((u128)u * wPrec) >> 64);
-        const u64 m = u * w - hi * q; // mulLazy: [0, 2q)
-        const u64 sh = static_cast<u64>(((u128)s * nwPrec) >> 64);
-        const u64 sr = s * nw - sh * q;
-        x[j] = sr >= q ? sr - q : sr;
-        const u64 mh = static_cast<u64>(((u128)m * nwPrec) >> 64);
-        const u64 mr = m * nw - mh * q;
-        y[j] = mr >= q ? mr - q : mr;
-    }
-}
-
-inline void
-rescaleEpilogueVec(u64 *a, const u64 *xl, std::size_t n,
-                   const RescaleConsts *rc, u64 q)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        a[i] = rescaleCorrectScalar(a[i], xl[i], *rc, q);
-}
-
-inline void
-rescaleNttFwdButterflyVec(u64 *x, u64 *y, const u64 *xlx, const u64 *xly,
-                          std::size_t t, const RescaleConsts *rc, u64 w,
-                          u64 wPrec, u64 q)
-{
-    const u64 two_q = 2 * q;
-    for (std::size_t j = 0; j < t; ++j) {
-        const u64 cx = rescaleCorrectScalar(x[j], xlx[j], *rc, q);
-        const u64 cy = rescaleCorrectScalar(y[j], xly[j], *rc, q);
-        const u64 hi = static_cast<u64>(((u128)cy * wPrec) >> 64);
-        const u64 v = cy * w - hi * q; // mulLazy: [0, 2q)
-        x[j] = cx + v;                 // [0, 4q)
-        y[j] = cx + two_q - v;         // (0, 4q)
-    }
-}
-
-inline void
-nttCorrectSubMulShoupVec(u64 *dst, const u64 *acc, const u64 *x,
-                         std::size_t n, u64 w, u64 wPrec, u64 q)
-{
-    const u64 two_q = 2 * q;
-    for (std::size_t i = 0; i < n; ++i) {
-        u64 c = x[i]; // [0, 4q)
-        c -= two_q * (c >= two_q);
-        c -= q * (c >= q);
-        const u64 d = subMod(acc[i], c, q);
-        const u64 h = static_cast<u64>(((u128)d * wPrec) >> 64);
-        const u64 r = d * w - h * q;
-        dst[i] = r >= q ? r - q : r;
-    }
-}
-
 } // namespace ref
 } // namespace simd
 } // namespace cl

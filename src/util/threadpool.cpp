@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "util/common.h"
+#include "util/env.h"
 
 namespace cl {
 
@@ -18,18 +18,15 @@ namespace {
  *  calls from inside a kernel degrade to serial loops. */
 thread_local bool t_inPoolWork = false;
 
+/** Largest worker count CL_THREADS accepts. */
+constexpr unsigned kMaxEnvThreads = 1024;
+
 unsigned
 envThreads()
 {
-    if (const char *env = std::getenv("CL_THREADS")) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && v >= 1)
-            return static_cast<unsigned>(v);
-        warn(std::string("ignoring malformed CL_THREADS='") + env + "'");
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    return static_cast<unsigned>(
+        envUnsigned("CL_THREADS", hw, 1, kMaxEnvThreads));
 }
 
 } // namespace

@@ -89,7 +89,8 @@ class ThreadPool
 
     /**
      * Process-wide pool, created on first use. Size: the CL_THREADS
-     * environment variable if set, else the hardware concurrency.
+     * environment variable if set to an integer in [1, 1024], else
+     * the hardware concurrency (a malformed value warns).
      */
     static ThreadPool &global();
 

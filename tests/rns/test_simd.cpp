@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "poly/rnspoly.h"
@@ -320,7 +321,8 @@ TEST_P(SimdBackendTest, WholeNttTransformMatchesScalar)
 TEST_P(SimdBackendTest, RnsPolyOpsMatchScalar)
 {
     // A realistic operation chain through RnsPoly under each backend:
-    // NTT, multiply, scalar multiply, automorphism, add, inverse NTT.
+    // NTT, multiply, scalar multiply, automorphism, add, inverse NTT,
+    // and a rescale on both the NTT and the coefficient path.
     BackendGuard guard;
     const std::size_t n = 1 << 10;
     auto primes = generateNttPrimes(28, n, 2);
@@ -348,13 +350,18 @@ TEST_P(SimdBackendTest, RnsPolyOpsMatchScalar)
         p += r;
         p -= r;
         p.negate();
+        RnsPoly s = p;
+        s.rescaleLastTower(); // NTT path: 3 -> 2 towers
+        s.toCoeff();
+        s.rescaleLastTower(); // coefficient path: 2 -> 1 tower
         p.toCoeff();
-        return p.data();
+        return std::make_pair(p.data(), s.data());
     };
 
     const auto scalar_out = run(SimdBackend::Scalar);
     const auto vec_out = run(GetParam());
-    ASSERT_EQ(scalar_out, vec_out);
+    ASSERT_EQ(scalar_out.first, vec_out.first);
+    ASSERT_EQ(scalar_out.second, vec_out.second) << "rescale";
 }
 
 INSTANTIATE_TEST_SUITE_P(
