@@ -110,9 +110,8 @@ struct DepGraph
 
 /**
  * Rebuild a program with its instructions in `order`. Value ids are
- * untouched; producer/consumer links — the Belady manager's
- * future-use information — are reconstructed by addInst so they
- * reflect the new issue order.
+ * untouched; producer/consumer links are reconstructed by addInst so
+ * they reflect the new issue order.
  */
 Program
 reorderProgram(const Program &prog,
@@ -132,13 +131,6 @@ reorderProgram(const Program &prog,
         out.addInst(std::move(inst));
     }
     return out;
-}
-
-std::uint64_t
-simulatedCycles(const Program &prog, const ChipConfig &cfg)
-{
-    Simulator sim(cfg);
-    return sim.run(prog).cycles;
 }
 
 /**
@@ -404,9 +396,8 @@ residencyOrder(const Program &prog, const DepGraph &g,
  * respects the dependence graph, so legality is invariant.
  */
 std::vector<std::uint32_t>
-refineOrder(const Program &prog, const DepGraph &g,
-            const ChipConfig &cfg, std::vector<std::uint32_t> order,
-            std::uint64_t &bestCycles)
+refineOrder(const Program &prog, const DepGraph &g, Simulator &sim,
+            std::vector<std::uint32_t> order, std::uint64_t &bestCycles)
 {
     const std::size_t n = order.size();
     std::vector<std::uint32_t> pos(n);
@@ -436,21 +427,18 @@ refineOrder(const Program &prog, const DepGraph &g,
         if (target == cur)
             continue;
 
-        std::vector<std::uint32_t> cand = order;
-        if (target < cur) {
-            std::rotate(cand.begin() + target, cand.begin() + cur,
-                        cand.begin() + cur + 1);
-        } else {
-            std::rotate(cand.begin() + cur, cand.begin() + cur + 1,
-                        cand.begin() + target + 1);
-        }
-        const std::uint64_t cycles =
-            simulatedCycles(reorderProgram(prog, cand), cfg);
+        // Move x in place; the rotation is undone if it does not pay.
+        const auto first = order.begin() + std::min(cur, target);
+        const auto last = order.begin() + std::max(cur, target) + 1;
+        const auto pivot = target < cur ? last - 1 : first + 1;
+        std::rotate(first, pivot, last);
+        const std::uint64_t cycles = sim.run(prog, order).cycles;
         if (cycles < bestCycles) {
             bestCycles = cycles;
-            order = std::move(cand);
-            for (std::uint32_t p = 0; p < n; ++p)
-                pos[order[p]] = p;
+            for (auto it = first; it != last; ++it)
+                pos[*it] = static_cast<std::uint32_t>(it - order.begin());
+        } else {
+            std::rotate(first, last - (pivot - first), last);
         }
     }
     return order;
@@ -475,16 +463,18 @@ scheduleProgram(const Program &prog, const ChipConfig &cfg,
     // simulator and the earliest candidate wins ties, with the
     // emission order first. This costs a few extra simulations per
     // compile and turns "must not regress" into an invariant.
+    // Candidates run through the simulator's issue-order view, so no
+    // program is materialized until the winner is known.
+    Simulator sim(cfg);
     std::vector<std::uint32_t> order(n);
     for (std::uint32_t i = 0; i < n; ++i)
         order[i] = i;
-    std::uint64_t cycles = simulatedCycles(prog, cfg);
+    std::uint64_t cycles = sim.run(prog).cycles;
 
     for (bool dual : {false, true}) {
         std::vector<std::uint32_t> cand =
             residencyOrder(prog, g, cfg, dual);
-        const std::uint64_t c =
-            simulatedCycles(reorderProgram(prog, cand), cfg);
+        const std::uint64_t c = sim.run(prog, cand).cycles;
         if (c < cycles) {
             cycles = c;
             order = std::move(cand);
@@ -494,7 +484,7 @@ scheduleProgram(const Program &prog, const ChipConfig &cfg,
     // Small programs additionally get measured local search.
     constexpr std::size_t refineLimit = 1536;
     if (n <= refineLimit)
-        order = refineOrder(prog, g, cfg, std::move(order), cycles);
+        order = refineOrder(prog, g, sim, std::move(order), cycles);
 
     std::size_t movedCount = 0;
     for (std::uint32_t p = 0; p < n; ++p) {

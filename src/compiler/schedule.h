@@ -58,8 +58,9 @@ struct ScheduleStats
  * Reorder @p prog under @p mode. ScheduleMode::None returns the
  * program unchanged. The result contains the same values and the
  * same instructions (new ids in issue order); per-value
- * producer/consumer links — the Belady manager's future-use
- * information — are rebuilt to match the scheduled order.
+ * producer/consumer links are rebuilt to match the scheduled order.
+ * Candidate orders are measured through Simulator::run's issue-order
+ * view, so only the winning order is materialized.
  */
 Program scheduleProgram(const Program &prog, const ChipConfig &cfg,
                         ScheduleMode mode,

@@ -14,7 +14,7 @@
  * Data is tracked as Values: polynomials (or groups of polynomials)
  * with a word footprint, a storage class (input, keyswitch hint,
  * plaintext, intermediate), and producer/consumer links that the
- * memory scheduler uses for Belady eviction.
+ * list scheduler plans register-file residency from.
  */
 
 #ifndef CL_ISA_PROGRAM_H

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <set>
 
 #include "sim/trace.h"
@@ -13,7 +12,11 @@ namespace {
 
 constexpr std::uint32_t noUse = std::numeric_limits<std::uint32_t>::max();
 
-/** A pool of identical units with per-unit busy-until times. */
+/**
+ * A pool of identical units. Units are interchangeable, so only the
+ * multiset of busy-until times matters; it is kept sorted ascending,
+ * which makes both queries allocation-free.
+ */
 class UnitPool
 {
   public:
@@ -29,33 +32,28 @@ class UnitPool
     {
         CL_ASSERT(k <= freeAt_.size(), "pool oversubscribed: need ", k,
                   " of ", freeAt_.size());
-        if (k == 0)
-            return ready;
-        std::vector<std::uint64_t> sorted(freeAt_);
-        std::nth_element(sorted.begin(), sorted.begin() + (k - 1),
-                         sorted.end());
-        return std::max(ready, sorted[k - 1]);
+        return k == 0 ? ready : std::max(ready, freeAt_[k - 1]);
     }
 
-    /** Occupy @p k units from @p start for @p duration cycles. */
+    /** Occupy the @p k earliest-free units from @p start for
+     *  @p duration cycles. */
     void
     acquire(unsigned k, std::uint64_t start, std::uint64_t duration)
     {
-        // Take the k units with the earliest free times.
-        std::vector<std::size_t> order(freeAt_.size());
-        for (std::size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        std::sort(order.begin(), order.end(), [&](auto a, auto b) {
-            return freeAt_[a] < freeAt_[b];
-        });
-        for (unsigned i = 0; i < k; ++i) {
-            CL_ASSERT(freeAt_[order[i]] <= start, "unit busy at acquire");
-            freeAt_[order[i]] = start + duration;
-        }
+        if (k == 0)
+            return;
+        CL_ASSERT(freeAt_[k - 1] <= start, "unit busy at acquire");
+        // Drop the k earliest entries and insert k copies of the new
+        // busy-until time at its sorted position.
+        const std::uint64_t until = start + duration;
+        const auto first = freeAt_.begin();
+        const auto pos = std::upper_bound(first + k, freeAt_.end(), until);
+        const auto filled = std::move(first + k, pos, first);
+        std::fill(filled, pos, until);
     }
 
   private:
-    std::vector<std::uint64_t> freeAt_;
+    std::vector<std::uint64_t> freeAt_; ///< Sorted ascending.
 };
 
 } // namespace
@@ -63,9 +61,37 @@ class UnitPool
 SimStats
 Simulator::run(const Program &prog, TraceSink *trace)
 {
-    SimStats stats;
+    return issue(prog, nullptr, trace);
+}
 
-    // Instruction currently being issued (for trace attribution).
+SimStats
+Simulator::run(const Program &prog, std::span<const std::uint32_t> order,
+               TraceSink *trace)
+{
+    const std::size_t n = prog.insts.size();
+    CL_ASSERT(order.size() == n, "issue order has ", order.size(),
+              " entries for ", n, " instructions");
+    std::vector<char> seen(n, 0);
+    for (std::uint32_t i : order) {
+        CL_ASSERT(i < n && !seen[i], "issue order is not a permutation "
+                  "(index ", i, ")");
+        seen[i] = 1;
+    }
+    return issue(prog, order.data(), trace);
+}
+
+SimStats
+Simulator::issue(const Program &prog, const std::uint32_t *order,
+                 TraceSink *trace)
+{
+    SimStats stats;
+    const std::size_t n = prog.insts.size();
+    const std::size_t nv = prog.values.size();
+    auto inst_at = [&](std::size_t pos) -> const PolyInst & {
+        return prog.insts[order ? order[pos] : pos];
+    };
+
+    // Issue position of the instruction being issued: its trace id.
     std::uint32_t cur_inst = 0;
     auto note = [&](ResidencyAction action, std::uint32_t vid,
                     std::uint64_t mem_start, std::uint64_t mem_end) {
@@ -77,11 +103,11 @@ Simulator::run(const Program &prog, TraceSink *trace)
     };
 
     // --- Resource pools ---
-    std::array<std::unique_ptr<UnitPool>, numFuTypes> fuPools;
-    for (unsigned t = 0; t < numFuTypes; ++t) {
-        fuPools[t] = std::make_unique<UnitPool>(
+    std::vector<UnitPool> fuPools;
+    fuPools.reserve(numFuTypes);
+    for (unsigned t = 0; t < numFuTypes; ++t)
+        fuPools.emplace_back(
             std::max(1u, cfg_.fuCount(static_cast<FuType>(t))));
-    }
     UnitPool ports(cfg_.rfPorts);
 
     // Network: bandwidth-limited single resource.
@@ -98,20 +124,43 @@ Simulator::run(const Program &prog, TraceSink *trace)
     // --- Register-file residency with Belady MIN eviction (Sec 6) ---
     const std::uint64_t capacity = cfg_.rfWords();
     std::uint64_t used = 0;
+
+    // Future-use lists, derived from the issued stream in one pass:
+    // the issue positions reading value v, one entry per read
+    // occurrence in issue order, are usePos[useOff[v] .. useOff[v+1]).
+    std::vector<std::uint32_t> useOff(nv + 2, 0);
+    for (std::size_t pos = 0; pos < n; ++pos) {
+        for (std::uint32_t vid : inst_at(pos).reads)
+            ++useOff[vid + 2];
+    }
+    for (std::size_t v = 2; v < nv + 2; ++v)
+        useOff[v] += useOff[v - 1];
+    std::vector<std::uint32_t> usePos(useOff[nv + 1]);
+    for (std::size_t pos = 0; pos < n; ++pos) {
+        for (std::uint32_t vid : inst_at(pos).reads)
+            usePos[useOff[vid + 1]++] = static_cast<std::uint32_t>(pos);
+    }
+
     struct Resident
     {
         bool resident = false;
         std::uint64_t readyAt = 0;
         bool dirty = false;  ///< On-chip-produced; eviction spills it.
-        std::size_t usePtr = 0; ///< Next index into consumers.
+        std::uint32_t usePtr = 0; ///< Next index into usePos.
     };
-    std::vector<Resident> res(prog.values.size());
+    std::vector<Resident> res(nv);
+    for (std::size_t v = 0; v < nv; ++v)
+        res[v].usePtr = useOff[v];
 
     auto next_use = [&](std::uint32_t vid) -> std::uint32_t {
-        const auto &v = prog.values[vid];
-        const auto &r = res[vid];
-        return r.usePtr < v.consumers.size() ? v.consumers[r.usePtr]
-                                             : noUse;
+        const std::uint32_t p = res[vid].usePtr;
+        return p < useOff[vid + 1] ? usePos[p] : noUse;
+    };
+    // Consume every use at or before issue position @p pos.
+    auto advance_uses = [&](std::uint32_t vid, std::uint32_t pos) {
+        std::uint32_t &p = res[vid].usePtr;
+        while (p < useOff[vid + 1] && usePos[p] <= pos)
+            ++p;
     };
 
     // Resident values ordered by next use (latest use = best victim).
@@ -122,6 +171,15 @@ Simulator::run(const Program &prog, TraceSink *trace)
     };
     auto resident_erase = [&](std::uint32_t vid, std::uint32_t old_use) {
         byUse.erase({old_use, vid});
+    };
+    // Re-key a resident value after its uses advanced, reusing its
+    // set node instead of freeing and reallocating one.
+    auto resident_rekey = [&](std::uint32_t vid, std::uint32_t old_use) {
+        auto node = byUse.extract({old_use, vid});
+        CL_ASSERT(!node.empty(), "value ", vid, " missing from the "
+                  "residency queue");
+        node.value().first = next_use(vid);
+        byUse.insert(std::move(node));
     };
 
     auto account_load = [&](const Value &v) {
@@ -225,19 +283,47 @@ Simulator::run(const Program &prog, TraceSink *trace)
     std::uint64_t prev_issue = 0;
     std::uint64_t last_finish = 0;
 
-    for (const PolyInst &inst : prog.insts) {
-        cur_inst = inst.id;
+    // Per-instruction scratch, reused across the loop.
+    std::vector<std::uint32_t> pinned;
+    std::vector<std::uint32_t> unique_reads;
+
+    for (std::size_t pos = 0; pos < n; ++pos) {
+        const PolyInst &inst = inst_at(pos);
+        cur_inst = static_cast<std::uint32_t>(pos);
         std::uint64_t ready = prev_issue;
 
+        // Same-type FuUse entries compose: the pool must have the
+        // *sum* of their units simultaneously free. Querying each use
+        // independently would let two batches claim overlapping units.
+        // A demand no pool can meet is the caller's error: name it.
+        std::array<unsigned, numFuTypes> fu_need{};
+        for (const FuUse &use : inst.fus) {
+            if (cfg_.fuCount(use.type) == 0)
+                CL_FATAL("inst ", cur_inst, " (", inst.mnemonic,
+                         ") needs absent FU ", fuTypeName(use.type));
+            fu_need[static_cast<unsigned>(use.type)] += use.units;
+        }
+        for (unsigned t = 0; t < numFuTypes; ++t) {
+            if (fu_need[t] > fuPools[t].count())
+                CL_FATAL("inst ", cur_inst, " (", inst.mnemonic,
+                         ") needs ", fu_need[t], " ",
+                         fuTypeName(static_cast<FuType>(t)),
+                         " units at once; the pool has ",
+                         fuPools[t].count());
+        }
+        if (inst.rfPorts > ports.count())
+            CL_FATAL("inst ", cur_inst, " (", inst.mnemonic, ") needs ",
+                     inst.rfPorts, " RF ports at once; the register "
+                     "file has ", ports.count());
+
         // Pin everything this instruction touches.
-        std::vector<std::uint32_t> pinned = inst.reads;
+        pinned.assign(inst.reads.begin(), inst.reads.end());
         pinned.insert(pinned.end(), inst.writes.begin(), inst.writes.end());
 
         // Operand residency (prefetched on the memory timeline). A
         // value listed twice in `reads` is one operand: it is fetched
         // — and its transfer charged — exactly once per instruction.
-        std::vector<std::uint32_t> unique_reads;
-        unique_reads.reserve(inst.reads.size());
+        unique_reads.clear();
         for (std::uint32_t vid : inst.reads) {
             if (std::find(unique_reads.begin(), unique_reads.end(),
                           vid) == unique_reads.end())
@@ -277,21 +363,10 @@ Simulator::run(const Program &prog, TraceSink *trace)
                                   ? StallReason::Operand
                                   : StallReason::None;
         FuType binding_fu = FuType::Ntt;
-        // Same-type FuUse entries compose: the pool must have the
-        // *sum* of their units simultaneously free. Querying each use
-        // independently would let two batches claim overlapping units.
-        std::array<unsigned, numFuTypes> fu_need{};
-        for (const FuUse &use : inst.fus) {
-            CL_ASSERT(cfg_.fuCount(use.type) > 0, "inst ", inst.id, " (",
-                      inst.mnemonic, ") needs absent FU ",
-                      fuTypeName(use.type));
-            fu_need[static_cast<unsigned>(use.type)] += use.units;
-        }
         for (unsigned t = 0; t < numFuTypes; ++t) {
             if (fu_need[t] == 0)
                 continue;
-            const std::uint64_t at = fuPools[t]->earliest(fu_need[t],
-                                                          start);
+            const std::uint64_t at = fuPools[t].earliest(fu_need[t], start);
             if (at > start) {
                 binding = StallReason::Fu;
                 binding_fu = static_cast<FuType>(t);
@@ -321,7 +396,7 @@ Simulator::run(const Program &prog, TraceSink *trace)
 
         for (unsigned t = 0; t < numFuTypes; ++t) {
             if (fu_need[t] > 0)
-                fuPools[t]->acquire(fu_need[t], start, inst.duration);
+                fuPools[t].acquire(fu_need[t], start, inst.duration);
         }
         for (const FuUse &use : inst.fus) {
             stats.fuBusy[static_cast<unsigned>(use.type)] +=
@@ -355,35 +430,32 @@ Simulator::run(const Program &prog, TraceSink *trace)
         }
         for (std::uint32_t vid : unique_reads) {
             Resident &r = res[vid];
-            const auto &cons = prog.values[vid].consumers;
             if (!r.resident) {
                 // Streamed operand (or a duplicate already freed):
                 // still consume this use, so that a later reload or
                 // in-place rewrite keys its Belady entry on a future
                 // consumer instead of one already in the past.
-                while (r.usePtr < cons.size() && cons[r.usePtr] <= inst.id)
-                    ++r.usePtr;
+                advance_uses(vid, cur_inst);
                 continue;
             }
             const std::uint32_t old_use = next_use(vid);
-            while (r.usePtr < cons.size() && cons[r.usePtr] <= inst.id)
-                ++r.usePtr;
-            resident_erase(vid, old_use);
-            if (r.usePtr >= cons.size() &&
+            advance_uses(vid, cur_inst);
+            if (next_use(vid) == noUse &&
                 prog.values[vid].kind == ValueKind::Intermediate) {
                 // Dead: free without writeback.
+                resident_erase(vid, old_use);
                 note(ResidencyAction::DeadFree, vid, finish, finish);
                 r.resident = false;
                 r.dirty = false;
                 used -= prog.values[vid].words;
             } else {
-                resident_insert(vid);
+                resident_rekey(vid, old_use);
             }
         }
 
         if (trace) {
             InstTrace t;
-            t.id = inst.id;
+            t.id = cur_inst;
             t.mnemonic = inst.mnemonic;
             t.issueReady = prev_issue;
             t.operandsAt = operands_at;

@@ -13,11 +13,15 @@
  *  - HBM with decoupled data orchestration: loads are prefetched on
  *    an independent memory timeline, and on-chip residency is managed
  *    with Belady's MIN eviction using the static schedule's future
- *    use information (Sec 6).
+ *    use information (Sec 6). The simulator derives that information
+ *    itself, in one pass over the instruction stream it issues, so it
+ *    never depends on the per-value links stored in the Program.
  */
 
 #ifndef CL_SIM_SIMULATOR_H
 #define CL_SIM_SIMULATOR_H
+
+#include <span>
 
 #include "isa/program.h"
 #include "sim/stats.h"
@@ -39,7 +43,21 @@ class Simulator
      */
     SimStats run(const Program &prog, TraceSink *trace = nullptr);
 
+    /**
+     * Execute @p prog's instructions in @p order, a permutation of
+     * instruction indices, without materializing the reordered
+     * program. Trace ids are issue positions, so the result and the
+     * trace equal those of running the program rebuilt in @p order
+     * through Program::addInst.
+     */
+    SimStats run(const Program &prog, std::span<const std::uint32_t> order,
+                 TraceSink *trace = nullptr);
+
   private:
+    /** Shared body; a null @p order issues in program order. */
+    SimStats issue(const Program &prog, const std::uint32_t *order,
+                   TraceSink *trace);
+
     ChipConfig cfg_;
 };
 

@@ -259,8 +259,8 @@ ScheduleVerifier::verify(const std::vector<InstTrace> &insts,
     }
 
     // --- 1c. Value links must match the instruction stream. --------
-    // The simulator's Belady RF manager walks values[].consumers as
-    // its future-use oracle, trusting that the list is sorted in
+    // The list scheduler's residency pass walks values[].consumers
+    // as its future-use oracle, trusting that the list is sorted in
     // issue order with one entry per read occurrence, and that
     // values[].producer names the last writer. Rebuild both from the
     // instructions and flag any drift (a scheduler that reorders

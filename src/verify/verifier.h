@@ -23,12 +23,13 @@
  *     serialized and sized exactly to the HBM bandwidth, and the
  *     replayed register-file resident set within capacity with every
  *     load/alloc/spill/evict/free conserving it.
- *  3. **Future-use coherence** — the per-value producer/consumer
- *     links (the information the Belady register-file manager keys
- *     its eviction decisions on) must match the instruction stream
- *     exactly, in issue order: a scheduler that reorders
- *     instructions without rebuilding the links would silently feed
- *     the RF manager stale futures.
+ *  3. **Link coherence** — the per-value producer/consumer links
+ *     must match the instruction stream exactly, in issue order. The
+ *     simulator derives its Belady future-use lists from the stream
+ *     itself, but the list scheduler's residency pass plans from
+ *     these links, and a scheduler that reorders instructions
+ *     without rebuilding them would hand every later pass stale
+ *     futures.
  *  4. **Traffic conservation** — per-value transfer words summed from
  *     the event stream must equal every SimStats counter (the six
  *     Fig 10a categories, memory busy cycles, per-FU busy unit-cycles

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -202,8 +203,8 @@ TEST(Schedule, ConsumerOrderViolationCaught)
 {
     // The verifier cross-checks the value table's consumer lists and
     // producer links against the instruction stream — the data the
-    // simulator's Belady manager plans future uses from. Scrambling
-    // either must be flagged.
+    // list scheduler's residency pass plans future uses from.
+    // Scrambling either must be flagged.
     const ChipConfig cfg = ChipConfig::craterLake();
     Program prog = cached("lola-mnist", "craterlake",
                           ScheduleMode::List);
@@ -211,8 +212,8 @@ TEST(Schedule, ConsumerOrderViolationCaught)
     TraceRecorder rec;
     const SimStats stats = sim.run(prog, &rec);
 
-    // Reverse the consumer list of a multi-consumer value: Belady
-    // would now see its uses in the wrong order.
+    // Reverse the consumer list of a multi-consumer value: a planner
+    // reading it would now see its uses in the wrong order.
     bool mutated = false;
     for (Value &v : prog.values) {
         if (v.consumers.size() >= 2 &&
@@ -249,6 +250,174 @@ TEST(Schedule, ConsumerOrderViolationCaught)
             verifier.verify(rec.insts(), rec.residency(), stats);
         EXPECT_TRUE(report.has(ViolationKind::ConsumerOrder))
             << report.summary();
+    }
+}
+
+// --- Simulating an issue order without materializing it ------------
+
+/** A seeded random order that respects every true, output and anti
+ *  dependence over value ids (Kahn's algorithm, random ready pick). */
+std::vector<std::uint32_t>
+randomLegalOrder(const Program &p, std::mt19937 &rng)
+{
+    const std::size_t n = p.insts.size();
+    std::vector<std::vector<std::uint32_t>> succs(n);
+    std::vector<std::uint32_t> predCount(n, 0);
+    std::vector<std::int64_t> lastWriter(p.values.size(), -1);
+    std::vector<std::vector<std::uint32_t>> readersSince(p.values.size());
+    auto edge = [&](std::int64_t from, std::uint32_t to) {
+        if (from >= 0 && from != to) {
+            succs[from].push_back(to);
+            ++predCount[to];
+        }
+    };
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const PolyInst &pi = p.insts[i];
+        for (std::uint32_t r : pi.reads)
+            edge(lastWriter[r], i);
+        for (std::uint32_t w : pi.writes) {
+            edge(lastWriter[w], i);
+            for (std::uint32_t reader : readersSince[w])
+                edge(reader, i);
+            readersSince[w].clear();
+        }
+        for (std::uint32_t r : pi.reads)
+            readersSince[r].push_back(i);
+        for (std::uint32_t w : pi.writes)
+            lastWriter[w] = i;
+    }
+
+    std::vector<std::uint32_t> ready, order;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (predCount[i] == 0)
+            ready.push_back(i);
+    }
+    while (!ready.empty()) {
+        const std::size_t k = rng() % ready.size();
+        const std::uint32_t id = ready[k];
+        ready[k] = ready.back();
+        ready.pop_back();
+        order.push_back(id);
+        for (std::uint32_t s : succs[id]) {
+            if (--predCount[s] == 0)
+                ready.push_back(s);
+        }
+    }
+    EXPECT_EQ(order.size(), n);
+    return order;
+}
+
+/** The program rebuilt in @p order through Program::addInst. */
+Program
+materialize(const Program &p, const std::vector<std::uint32_t> &order)
+{
+    Program out;
+    out.name = p.name;
+    out.n = p.n;
+    out.values = p.values;
+    for (Value &v : out.values) {
+        v.producer = -1;
+        v.consumers.clear();
+    }
+    for (std::uint32_t id : order)
+        out.addInst(p.insts[id]);
+    return out;
+}
+
+/** Every field of both trace streams, in order. */
+std::string
+traceKey(const TraceRecorder &rec)
+{
+    std::ostringstream os;
+    for (const InstTrace &t : rec.insts()) {
+        os << t.id << ' ' << t.mnemonic << ' ' << t.issueReady << ' '
+           << t.operandsAt << ' ' << t.start << ' ' << t.finish << ' '
+           << static_cast<int>(t.binding) << ' '
+           << static_cast<unsigned>(t.bindingFu) << ' ' << t.rfPorts
+           << ' ' << t.networkWords << ' ' << t.netBusyUntil;
+        for (const FuUse &f : t.fus)
+            os << ' ' << static_cast<unsigned>(f.type) << ',' << f.units
+               << ',' << f.laneOps;
+        os << '\n';
+    }
+    for (const ResidencyEvent &e : rec.residency()) {
+        os << static_cast<int>(e.action) << ' ' << e.valueId << ' '
+           << e.instId << ' ' << static_cast<int>(e.kind) << ' '
+           << e.label << ' ' << e.words << ' ' << e.memStart << ' '
+           << e.memEnd << '\n';
+    }
+    return os.str();
+}
+
+TEST(Schedule, IssueOrderViewMatchesMaterializedProgram)
+{
+    // Simulator::run(prog, order) must be indistinguishable from
+    // running the program rebuilt in that order: same SimStats, same
+    // instruction and residency traces (trace ids are issue
+    // positions). The scheduler relies on this to measure candidate
+    // orders without copying the program.
+    std::mt19937 rng(20220618);
+    for (const std::string bn : {"lola-mnist", "boot-unpacked"}) {
+        for (const std::string cn : {"craterlake", "f1plus"}) {
+            const Program &prog = cached(bn, cn, ScheduleMode::None);
+            const ChipConfig cfg = ChipConfig::byName(cn);
+            for (int trial = 0; trial < 3; ++trial) {
+                const std::vector<std::uint32_t> order =
+                    randomLegalOrder(prog, rng);
+                const Program flat = materialize(prog, order);
+                flat.validate();
+                TraceRecorder viaView, viaFlat;
+                const SimStats a = Simulator(cfg).run(prog, order, &viaView);
+                const SimStats b = Simulator(cfg).run(flat, &viaFlat);
+                EXPECT_EQ(a, b) << bn << " x " << cn << " #" << trial;
+                EXPECT_EQ(traceKey(viaView), traceKey(viaFlat))
+                    << bn << " x " << cn << " #" << trial;
+                EXPECT_EQ(Simulator(cfg).run(prog, order), a);
+            }
+        }
+    }
+}
+
+TEST(Schedule, SimulatedCyclesPinned)
+{
+    // Whole-program cycles from the checked-in BENCH_sim.json (80-bit
+    // security), so a change to the simulator or the scheduler that
+    // moves any of them fails tier-1, not only the sim-trace diff.
+    struct Pin
+    {
+        const char *bench;
+        const char *config;
+        ScheduleMode mode;
+        std::uint64_t cycles;
+    };
+    constexpr ScheduleMode none = ScheduleMode::None;
+    constexpr ScheduleMode list = ScheduleMode::List;
+    const Pin pins[] = {
+        {"boot-unpacked", "craterlake", none, 79687},
+        {"boot-unpacked", "craterlake", list, 79687},
+        {"boot-unpacked", "f1plus", none, 383216},
+        {"boot-unpacked", "f1plus", list, 380367},
+        {"boot-packed", "craterlake", none, 2291525},
+        {"boot-packed", "craterlake", list, 2282342},
+        {"boot-packed", "f1plus", none, 28043089},
+        {"boot-packed", "f1plus", list, 28038768},
+        {"lola-mnist", "craterlake", none, 49560},
+        {"lola-mnist", "craterlake", list, 49560},
+        {"lola-mnist", "f1plus", none, 67581},
+        {"lola-mnist", "f1plus", list, 67133},
+        {"lola-mnist-ew", "craterlake", none, 49636},
+        {"lola-mnist-ew", "craterlake", list, 49636},
+        {"lola-mnist-ew", "f1plus", none, 137076},
+        {"lola-mnist-ew", "f1plus", list, 129714},
+    };
+    for (const Pin &pin : pins) {
+        const ChipConfig cfg = ChipConfig::byName(pin.config);
+        EXPECT_EQ(Simulator(cfg)
+                      .run(cached(pin.bench, pin.config, pin.mode))
+                      .cycles,
+                  pin.cycles)
+            << pin.bench << " x " << pin.config << " x "
+            << scheduleModeName(pin.mode);
     }
 }
 

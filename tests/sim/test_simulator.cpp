@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/simulator.h"
+#include "sim/trace.h"
 
 namespace cl {
 namespace {
@@ -117,6 +118,30 @@ TEST(Simulator, MissingFuIsFatal)
     ChipConfig cfg = ChipConfig::noCrbNoChain();
     Simulator sim(cfg);
     EXPECT_DEATH(sim.run(p), "absent FU");
+}
+
+TEST(Simulator, FuOversubscriptionIsFatal)
+{
+    // More same-type units than the pool holds — here split over two
+    // FuUse entries — can never issue. The run must stop naming the
+    // instruction and the FU class.
+    Program p = singleInstProgram(100);
+    const ChipConfig cfg = ChipConfig::craterLake();
+    p.insts[0].fus = {{FuType::Add, cfg.fuCount(FuType::Add), 100},
+                      {FuType::Add, 1, 100}};
+    Simulator sim(cfg);
+    EXPECT_DEATH(sim.run(p), "inst 0 \\(op\\) needs 6 Add units at once; "
+                             "the pool has 5");
+}
+
+TEST(Simulator, RfPortOversubscriptionIsFatal)
+{
+    Program p = singleInstProgram(100);
+    const ChipConfig cfg = ChipConfig::craterLake();
+    p.insts[0].rfPorts = cfg.rfPorts + 1;
+    Simulator sim(cfg);
+    EXPECT_DEATH(sim.run(p), "inst 0 \\(op\\) needs 13 RF ports at "
+                             "once; the register file has 12");
 }
 
 TEST(Simulator, ReusedOperandLoadsOnce)
@@ -599,6 +624,53 @@ TEST(Simulator, SameTypeFuUsesCompose)
     // split waits for slow's adder: finish >= 1000 + 10.
     EXPECT_GE(stats.cycles, 1010u);
     EXPECT_EQ(stats.fuBusy[static_cast<unsigned>(FuType::Add)], 1020u);
+}
+
+TEST(Simulator, PartialPoolStartsAtKthEarliestFree)
+{
+    // f1plus-scale pool: 64 Multiply units. Sixty-four single-unit
+    // instructions start together at T0 (their shared operand's load)
+    // and free their units at staggered times T0 + 100 + 10*j,
+    // j = 0..63, issued in scrambled order (j = 37*i mod 64). An
+    // instruction needing k units starts at the k-th earliest free
+    // time; the units it then holds rejoin the pool in sorted order.
+    //   big  (40 units, 105 cy): 40th free time = T0 + 490; its units
+    //        free at T0 + 595.
+    //   wide (55 units): free times are now T0 + 500..590 (10 units),
+    //        T0 + 595 (40 units), T0 + 600..730 (14 units); the 55th
+    //        is T0 + 640.
+    const ChipConfig cfg = ChipConfig::f1plus();
+    ASSERT_EQ(cfg.fuCount(FuType::Multiply), 64u);
+    Program p;
+    p.n = 1 << 16;
+    const auto in = p.addValue(ValueKind::Input, 256, "in");
+    auto mul = [&](unsigned units, std::uint64_t duration) {
+        const auto out = p.addValue(ValueKind::Intermediate, 16, "t");
+        PolyInst inst = simpleInst({in}, {out}, "mul");
+        inst.fus = {{FuType::Multiply, units, 16}};
+        inst.duration = duration;
+        inst.rfPorts = 0; // isolate the Multiply pool
+        p.addInst(std::move(inst));
+    };
+    for (unsigned i = 0; i < 64; ++i)
+        mul(1, 100 + 10 * ((37 * i) % 64));
+    mul(40, 105);
+    mul(55, 10);
+
+    Simulator sim(cfg);
+    TraceRecorder rec;
+    sim.run(p, &rec);
+    const auto &t = rec.insts();
+    ASSERT_EQ(t.size(), 66u);
+    const std::uint64_t t0 = t[0].start;
+    for (unsigned i = 0; i < 64; ++i)
+        EXPECT_EQ(t[i].start, t0) << i;
+    EXPECT_EQ(t[64].start, t0 + 490);
+    EXPECT_EQ(t[65].start, t0 + 640);
+    for (unsigned i = 64; i < 66; ++i) {
+        EXPECT_EQ(t[i].binding, StallReason::Fu) << i;
+        EXPECT_EQ(t[i].bindingFu, FuType::Multiply) << i;
+    }
 }
 
 TEST(Simulator, EnergyAccountingConsistent)
