@@ -1,17 +1,70 @@
 #include "bootstrap.h"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
+#include <functional>
+#include <set>
+
+#include "util/threadpool.h"
 
 namespace cl {
 
 namespace {
 
+/** Chebyshev coefficients of f on [-1, 1] by cosine projection. */
+std::vector<double>
+chebyshevFit(const std::function<double(double)> &f, unsigned degree)
+{
+    const unsigned m = 4096;
+    std::vector<double> c(degree + 1, 0.0);
+    for (unsigned k = 0; k < m; ++k) {
+        const double theta = M_PI * (k + 0.5) / m;
+        const double fv = f(std::cos(theta));
+        for (unsigned j = 0; j <= degree; ++j)
+            c[j] += fv * std::cos(j * theta);
+    }
+    for (unsigned j = 0; j <= degree; ++j)
+        c[j] *= (j == 0 ? 1.0 : 2.0) / m;
+    return c;
+}
+
+/** Chebyshev terms at or below this magnitude are dropped. */
+constexpr double kChebTermFloor = 1e-13;
+
 /**
- * Chebyshev-basis division: rewrite p = sum b_j T_j as
- * p = q(u) * T_g(u) + r(u) using T_{a+g} = 2 T_a T_g - T_{|a-g|}.
- * Returns (q, r) coefficient vectors (also in the T basis).
+ * Multiply a ciphertext's slots by a real factor while declaring an
+ * explicit output scale — one integer scalar multiply, no rescale, no
+ * level consumed. Used to give every term of a linear combination an
+ * identical (level, scale) pair exactly.
  */
+Ciphertext
+mulScalarRaw(const Ciphertext &ct, double factor, double target_scale)
+{
+    Ciphertext r = ct;
+    const double w_real = factor * target_scale / ct.scale;
+    const auto w = static_cast<long long>(std::llround(w_real));
+    CL_ASSERT(std::abs(w_real) < 9e18, "scalar overflow");
+    for (std::size_t t = 0; t < r.c0.towers(); ++t) {
+        const u64 q = r.c0.modulus(t);
+        const u64 wq = reduceSigned(w, q);
+        r.c0.mulScalarTower(t, wq);
+        r.c1.mulScalarTower(t, wq);
+    }
+    r.scale = target_scale;
+    return r;
+}
+
+} // namespace
+
+std::vector<double>
+evalModCoefficients(const BootstrapParams &params)
+{
+    const double a = 2.0 * M_PI * params.k;
+    return chebyshevFit(
+        [a](double u) { return std::sin(a * u) / (2.0 * M_PI); },
+        params.chebDegree);
+}
+
 std::pair<std::vector<double>, std::vector<double>>
 chebDivide(std::vector<double> b, unsigned g)
 {
@@ -33,24 +86,78 @@ chebDivide(std::vector<double> b, unsigned g)
     return {std::move(q), std::move(b)};
 }
 
-/** Chebyshev coefficients of f on [-1, 1] by cosine projection. */
-std::vector<double>
-chebyshevFit(const std::function<double(double)> &f, unsigned degree)
+ChebyshevPlan
+planChebyshev(const std::vector<double> &coeffs, unsigned babySteps)
 {
-    const unsigned m = 4096;
-    std::vector<double> c(degree + 1, 0.0);
-    for (unsigned k = 0; k < m; ++k) {
-        const double theta = M_PI * (k + 0.5) / m;
-        const double fv = f(std::cos(theta));
-        for (unsigned j = 0; j <= degree; ++j)
-            c[j] += fv * std::cos(j * theta);
-    }
-    for (unsigned j = 0; j <= degree; ++j)
-        c[j] *= (j == 0 ? 1.0 : 2.0) / m;
-    return c;
-}
+    ChebyshevPlan plan;
+    std::set<unsigned> basis; // T_j degrees the evaluation reads
+    std::vector<unsigned> height;
 
-} // namespace
+    // The division tree, depth first: q's subtree, then r's.
+    std::function<unsigned(std::vector<double>)> divide =
+        [&](std::vector<double> b) -> unsigned {
+        const auto id = static_cast<unsigned>(plan.nodes.size());
+        plan.nodes.emplace_back();
+        height.push_back(0);
+        const std::size_t deg = b.size() - 1;
+        if (deg < babySteps) {
+            for (std::size_t j = 1; j <= deg; ++j) {
+                if (std::abs(b[j]) > kChebTermFloor)
+                    basis.insert(static_cast<unsigned>(j));
+            }
+            plan.nodes[id].coeffs = std::move(b);
+            plan.leaves.push_back(id);
+            return id;
+        }
+        unsigned g = babySteps;
+        while (2 * g <= deg)
+            g *= 2;
+        basis.insert(g);
+        auto [q, r] = chebDivide(std::move(b), g);
+        const unsigned qi = divide(std::move(q));
+        const unsigned ri = divide(std::move(r));
+        plan.nodes[id].giant = g;
+        plan.nodes[id].quot = qi;
+        plan.nodes[id].rem = ri;
+        height[id] = 1 + std::max(height[qi], height[ri]);
+        return id;
+    };
+    divide(coeffs);
+
+    for (unsigned id = 0; id < plan.nodes.size(); ++id) {
+        if (height[id] == 0)
+            continue;
+        if (plan.heights.size() < height[id])
+            plan.heights.resize(height[id]);
+        plan.heights[height[id] - 1].push_back(id);
+    }
+
+    // Close the basis under T_j's two factors; T_1 is the input.
+    std::vector<unsigned> pending(basis.begin(), basis.end());
+    while (!pending.empty()) {
+        const unsigned j = pending.back();
+        pending.pop_back();
+        if (j < 2)
+            continue;
+        for (unsigned f : {(j + 1) / 2, j / 2}) {
+            if (basis.insert(f).second)
+                pending.push_back(f);
+        }
+    }
+    for (unsigned j : basis) {
+        if (j < 2)
+            continue;
+        // Depth ceil(log2 j): both factors sit at least one wave lower.
+        unsigned depth = 0;
+        while ((1u << depth) < j)
+            ++depth;
+        if (plan.waves.size() < depth)
+            plan.waves.resize(depth);
+        plan.waves[depth - 1].push_back(j);
+        plan.maxDegree = std::max(plan.maxDegree, j);
+    }
+    return plan;
+}
 
 Bootstrapper::Bootstrapper(const CkksContext &ctx,
                            const CkksEncoder &encoder, KeyGenerator &keygen,
@@ -83,10 +190,8 @@ Bootstrapper::Bootstrapper(const CkksContext &ctx,
     }
 
     // --- EvalMod polynomial: (1/2pi) sin(2 pi K u) on [-1, 1]. ---
-    const double a = 2.0 * M_PI * params_.k;
-    chebCoeffs_ = chebyshevFit(
-        [a](double u) { return std::sin(a * u) / (2.0 * M_PI); },
-        params_.chebDegree);
+    chebPlan_ =
+        planChebyshev(evalModCoefficients(params_), params_.babySteps);
 
     // --- Keys: relinearization, conjugation, BSGS rotations. ---
     relin_ = keygen.genRelinKey();
@@ -187,19 +292,6 @@ Bootstrapper::buildDiagonals(const Matrix &m, unsigned level,
     DiagCache dc;
     dc.nonzero.assign(n, 0);
     dc.ptData.resize(n);
-    if (need_ext)
-        dc.ptExt.resize(n);
-    dc.hasExt = need_ext;
-
-    // Extended basis Q_level ∪ P, matching Evaluator::decompose for
-    // the context-default digit size every hint here is built with.
-    std::vector<unsigned> ext_idx;
-    if (need_ext) {
-        ext_idx = ctx_.dataIdx(level);
-        for (unsigned i : ctx_.specialIdx())
-            ext_idx.push_back(i);
-    }
-
     for (std::size_t d = 0; d < n; ++d) {
         const std::vector<Complex> diag = rotatedDiagonal(m, d);
         bool nonzero = false;
@@ -212,14 +304,36 @@ Bootstrapper::buildDiagonals(const Matrix &m, unsigned level,
         pt.toNtt();
         ctx_.ops().ntts += pt.towers();
         dc.ptData[d] = std::move(pt);
-        if (need_ext) {
-            RnsPoly pe = encoder_.encode(diag, p_scale, ext_idx);
-            pe.toNtt();
-            ctx_.ops().ntts += pe.towers();
-            dc.ptExt[d] = std::move(pe);
-        }
     }
+    if (need_ext)
+        addExtDiagonals(dc, m, level);
     return dc;
+}
+
+void
+Bootstrapper::addExtDiagonals(DiagCache &dc, const Matrix &m,
+                              unsigned level) const
+{
+    const std::size_t n = ctx_.slots();
+    const double p_scale =
+        static_cast<double>(ctx_.chain().modulus(level - 1));
+    // Extended basis Q_level ∪ P, matching Evaluator::decompose for
+    // the context-default digit size every hint here is built with.
+    std::vector<unsigned> ext_idx = ctx_.dataIdx(level);
+    for (unsigned i : ctx_.specialIdx())
+        ext_idx.push_back(i);
+
+    dc.ptExt.resize(n);
+    for (std::size_t d = 0; d < n; ++d) {
+        if (!dc.nonzero[d])
+            continue;
+        RnsPoly pe = encoder_.encode(rotatedDiagonal(m, d), p_scale,
+                                     ext_idx);
+        pe.toNtt();
+        ctx_.ops().ntts += pe.towers();
+        dc.ptExt[d] = std::move(pe);
+    }
+    dc.hasExt = true;
 }
 
 const Bootstrapper::DiagCache &
@@ -228,21 +342,23 @@ Bootstrapper::diagonals(const Matrix &m, int which, unsigned level,
 {
     // Serializes concurrent first builds of the same (matrix, level)
     // entry; after warmup every call is a map lookup under the lock.
-    // Returned references stay valid outside the lock because map
-    // nodes are stable. The one rebuild case — an entry built without
-    // ext-basis plaintexts upgraded by a need_ext caller — replaces
-    // the mapped value, so concurrent transforms must agree on the
-    // execution mode (bootstrap() always uses params_.ltMode; mixing
-    // modes concurrently via applyCoeffToSlot is a test-only pattern
-    // and tests do it serially).
+    // Returned references stay valid outside the lock: map nodes are
+    // stable, and an entry built without ext-basis plaintexts is
+    // upgraded in place for a need_ext caller — only ptExt and
+    // hasExt are written, never the nonzero/ptData a concurrent
+    // transform may be reading. The diagonals are encoded one after
+    // another, not fanned out: a parallelFor under this lock waits
+    // for the pool, while a pool item that reaches this cache waits
+    // for the lock. (The tower-parallel NTTs inside each encode can
+    // still fan out at N >= 2^14.)
     std::lock_guard<std::mutex> lock(diagMutex_);
     const auto key = std::make_pair(which, level);
     auto it = diagCache_.find(key);
-    if (it == diagCache_.end() || (need_ext && !it->second.hasExt)) {
-        it = diagCache_
-                 .insert_or_assign(key, buildDiagonals(m, level, need_ext))
+    if (it == diagCache_.end())
+        it = diagCache_.emplace(key, buildDiagonals(m, level, need_ext))
                  .first;
-    }
+    else if (need_ext && !it->second.hasExt)
+        addExtDiagonals(it->second, m, level);
     return it->second;
 }
 
@@ -290,15 +406,21 @@ Bootstrapper::linearTransform(const Ciphertext &ct, const Matrix &m,
     // ciphertexts; HoistedLazy keeps the keyswitch inner products in
     // the extended basis (k0/k1, still carrying the P factor) plus the
     // exact rotated c0, deferring every mod-down to the giant steps.
+    // Each baby writes only its own slots, so the babies fan out over
+    // the pool (their tower loops then run inline on the worker).
     std::vector<Ciphertext> baby;
     std::vector<RnsPoly> k0(n1), k1(n1), c0rot(n1);
     if (!lazy) {
         baby.resize(n1);
         baby[0] = ct;
     }
+    std::vector<unsigned> rotated;
     for (unsigned b = 1; b < n1; ++b) {
-        if (!baby_used[b])
-            continue;
+        if (baby_used[b])
+            rotated.push_back(b);
+    }
+    parallelFor(0, rotated.size(), [&](std::size_t i) {
+        const unsigned b = rotated[i];
         const std::size_t gal =
             eval_.galoisFromSteps(static_cast<int>(b));
         switch (mode) {
@@ -320,11 +442,15 @@ Bootstrapper::linearTransform(const Ciphertext &ct, const Matrix &m,
             break;
         }
         }
-    }
+    });
 
-    Ciphertext acc;
-    bool first = true;
-    for (unsigned g = 0; g < n2; ++g) {
+    // Giant steps: each g accumulates its diagonals, mods down and
+    // rotates into its own inners[g]; the sum then runs serially in
+    // g order, so the reduction order never depends on scheduling.
+    std::vector<Ciphertext> inners(n2);
+    std::vector<char> inner_used(n2, 0);
+    parallelFor(0, n2, [&](std::size_t gi) {
+        const auto g = static_cast<unsigned>(gi);
         Ciphertext inner;
         bool inner_first = true;
         if (!lazy) {
@@ -387,13 +513,22 @@ Bootstrapper::linearTransform(const Ciphertext &ct, const Matrix &m,
             }
         }
         if (inner_first)
-            continue;
+            return;
         if (g > 0) {
             inner = eval_.rotate(
                 inner, static_cast<int>(static_cast<std::size_t>(g) * n1),
                 galois_);
         }
-        acc = first ? inner : eval_.add(acc, inner);
+        inners[g] = std::move(inner);
+        inner_used[g] = 1;
+    });
+
+    Ciphertext acc;
+    bool first = true;
+    for (unsigned g = 0; g < n2; ++g) {
+        if (!inner_used[g])
+            continue;
+        acc = first ? std::move(inners[g]) : eval_.add(acc, inners[g]);
         first = false;
     }
     CL_ASSERT(!first, "linear transform with all-zero matrix");
@@ -415,127 +550,124 @@ Bootstrapper::applySlotToCoeff(const Ciphertext &ct,
     return linearTransform(ct, slotToCoeff_, 1, mode);
 }
 
-Ciphertext
-Bootstrapper::evalChebyshev(const Ciphertext &u) const
+std::vector<Ciphertext>
+Bootstrapper::evalChebyshev(const std::vector<Ciphertext> &in) const
 {
-    // Chebyshev ciphertexts T_j(u), built with the depth-logarithmic
-    // recurrence T_{a+b} = 2 T_a T_b - T_{|a-b|}.
-    std::map<unsigned, Ciphertext> cache;
-    cache.emplace(1, u);
+    const ChebyshevPlan &plan = chebPlan_;
+    const std::size_t inputs = in.size();
 
-    std::function<const Ciphertext &(unsigned)> get_t =
-        [&](unsigned j) -> const Ciphertext & {
-        auto it = cache.find(j);
-        if (it != cache.end())
-            return it->second;
-        const unsigned a = (j + 1) / 2;
-        const unsigned b = j / 2;
-        Ciphertext ta = get_t(a);
-        Ciphertext tb = get_t(b);
-        const unsigned lvl = std::min(ta.level(), tb.level());
-        eval_.levelDrop(ta, lvl);
-        eval_.levelDrop(tb, lvl);
-        Ciphertext prod = eval_.multiply(ta, tb, relin_);
-        eval_.rescale(prod);
-        prod = eval_.add(prod, prod); // 2 T_a T_b
-        if (a == b) {
-            // T_{2a} = 2 T_a^2 - 1.
-            std::vector<Complex> one(ctx_.slots(), Complex(1, 0));
-            prod = eval_.subPlain(
-                prod, encoder_.encode(one, prod.scale, prod.level()));
-        } else {
-            // a - b == 1: subtract T_1 aligned to the product.
-            Ciphertext t1 = cache.at(1);
-            alignPair(prod, t1);
-            prod = eval_.sub(prod, t1);
-        }
-        return cache.emplace(j, std::move(prod)).first->second;
+    // Run fn(i, item) for every input i and plan item, fanned out over
+    // the pool; every call writes only its own (i, item) slot.
+    auto fan_out = [&](const std::vector<unsigned> &items, auto &&fn) {
+        const std::size_t k = items.size();
+        parallelFor(0, inputs * k, [&](std::size_t x) {
+            fn(x / k, items[x % k]);
+        });
     };
 
-    const unsigned m = params_.babySteps;
+    // (a) Chebyshev ciphertexts t[i][j] = T_j(in[i]), wave by wave,
+    //     with T_j = 2 T_a T_b - T_{a-b} for a = ceil(j/2),
+    //     b = floor(j/2).
+    std::vector<std::vector<Ciphertext>> t(
+        inputs, std::vector<Ciphertext>(plan.maxDegree + 1));
+    for (std::size_t i = 0; i < inputs; ++i)
+        t[i][1] = in[i];
+    for (const std::vector<unsigned> &wave : plan.waves) {
+        fan_out(wave, [&](std::size_t i, unsigned j) {
+            const unsigned a = (j + 1) / 2;
+            const unsigned b = j / 2;
+            Ciphertext ta = t[i][a];
+            Ciphertext tb = t[i][b];
+            const unsigned lvl = std::min(ta.level(), tb.level());
+            eval_.levelDrop(ta, lvl);
+            eval_.levelDrop(tb, lvl);
+            Ciphertext prod = eval_.multiply(ta, tb, relin_);
+            eval_.rescale(prod);
+            prod = eval_.add(prod, prod); // 2 T_a T_b
+            if (a == b) {
+                // T_{2a} = 2 T_a^2 - 1.
+                std::vector<Complex> one(ctx_.slots(), Complex(1, 0));
+                prod = eval_.subPlain(
+                    prod, encoder_.encode(one, prod.scale, prod.level()));
+            } else {
+                // a - b == 1: subtract T_1 aligned to the product.
+                Ciphertext t1 = t[i][1];
+                alignPair(prod, t1);
+                prod = eval_.sub(prod, t1);
+            }
+            t[i][j] = std::move(prod);
+        });
+    }
 
-    // Multiply a ciphertext's slots by a real factor while declaring
-    // an explicit output scale — one integer scalar multiply, no
-    // rescale, no level consumed. Used to give every term of a
-    // linear combination an identical (level, scale) pair exactly.
-    auto mul_scalar_raw = [&](const Ciphertext &ct, double factor,
-                              double target_scale) {
-        Ciphertext r = ct;
-        const double w_real = factor * target_scale / ct.scale;
-        const auto w = static_cast<long long>(std::llround(w_real));
-        CL_ASSERT(std::abs(w_real) < 9e18, "scalar overflow");
-        for (std::size_t t = 0; t < r.c0.towers(); ++t) {
-            const u64 q = r.c0.modulus(t);
-            const u64 wq = reduceSigned(w, q);
-            r.c0.mulScalarTower(t, wq);
-            r.c1.mulScalarTower(t, wq);
+    // (b) Leaf blocks: direct combination sum_j b_j T_j. Every term
+    //     is raised to a shared target scale with one raw scalar
+    //     multiply, summed, and rescaled once.
+    std::vector<std::vector<Ciphertext>> val(
+        inputs, std::vector<Ciphertext>(plan.nodes.size()));
+    fan_out(plan.leaves, [&](std::size_t i, unsigned id) {
+        const std::vector<double> &b = plan.nodes[id].coeffs;
+        const Ciphertext &u = in[i];
+        std::vector<unsigned> idx;
+        for (std::size_t j = 1; j < b.size(); ++j) {
+            if (std::abs(b[j]) > kChebTermFloor)
+                idx.push_back(static_cast<unsigned>(j));
         }
-        r.scale = target_scale;
-        return r;
-    };
-
-    std::function<Ciphertext(const std::vector<double> &)> eval_rec =
-        [&](const std::vector<double> &b) -> Ciphertext {
-        const std::size_t deg = b.size() - 1;
-        if (deg < m) {
-            // Direct combination sum_j b_j T_j: every term is raised
-            // to a shared target scale with one raw scalar multiply,
-            // summed, and rescaled once.
-            std::vector<unsigned> idx;
-            for (std::size_t j = 1; j <= deg; ++j) {
-                if (std::abs(b[j]) > 1e-13)
-                    idx.push_back(static_cast<unsigned>(j));
-            }
-            if (idx.empty()) {
-                // Constant block: zero out a copy of u, add b[0].
-                Ciphertext z = mul_scalar_raw(u, 0.0, u.scale);
-                std::vector<Complex> c0(ctx_.slots(),
-                                        Complex(b[0], 0));
-                return eval_.addPlain(
-                    z, encoder_.encode(c0, z.scale, z.level()));
-            }
-            unsigned lvl = u.level();
-            for (unsigned j : idx)
-                lvl = std::min(lvl, get_t(j).level());
-            const double q_last = static_cast<double>(
-                ctx_.chain().modulus(lvl - 1));
-            const double ref = get_t(idx[0]).scale;
-            const double target = ref * q_last;
-
-            Ciphertext acc;
-            bool first = true;
-            for (unsigned j : idx) {
-                Ciphertext t = get_t(j);
-                eval_.levelDrop(t, lvl);
-                t = mul_scalar_raw(t, b[j], target);
-                acc = first ? std::move(t) : eval_.add(acc, t);
-                first = false;
-            }
-            eval_.rescale(acc); // target / q_last == ref
-            if (std::abs(b[0]) > 1e-13) {
-                std::vector<Complex> c0(ctx_.slots(), Complex(b[0], 0));
-                acc = eval_.addPlain(
-                    acc, encoder_.encode(c0, acc.scale, acc.level()));
-            }
-            return acc;
+        if (idx.empty()) {
+            // Constant block: zero out a copy of u, add b[0].
+            Ciphertext z = mulScalarRaw(u, 0.0, u.scale);
+            std::vector<Complex> c0(ctx_.slots(), Complex(b[0], 0));
+            val[i][id] = eval_.addPlain(
+                z, encoder_.encode(c0, z.scale, z.level()));
+            return;
         }
-        unsigned g = m;
-        while (2 * g <= deg)
-            g *= 2;
-        auto [q, r] = chebDivide(b, g);
-        Ciphertext cq = eval_rec(q);
-        Ciphertext cr = eval_rec(r);
-        Ciphertext tg = get_t(g);
-        const unsigned lvl = std::min(cq.level(), tg.level());
-        eval_.levelDrop(cq, lvl);
-        eval_.levelDrop(tg, lvl);
-        Ciphertext prod = eval_.multiply(cq, tg, relin_);
-        eval_.rescale(prod);
-        alignPair(prod, cr);
-        return eval_.add(prod, cr);
-    };
+        unsigned lvl = u.level();
+        for (unsigned j : idx)
+            lvl = std::min(lvl, t[i][j].level());
+        const double q_last =
+            static_cast<double>(ctx_.chain().modulus(lvl - 1));
+        const double ref = t[i][idx[0]].scale;
+        const double target = ref * q_last;
 
-    return eval_rec(chebCoeffs_);
+        Ciphertext acc;
+        bool first = true;
+        for (unsigned j : idx) {
+            Ciphertext tj = t[i][j];
+            eval_.levelDrop(tj, lvl);
+            tj = mulScalarRaw(tj, b[j], target);
+            acc = first ? std::move(tj) : eval_.add(acc, tj);
+            first = false;
+        }
+        eval_.rescale(acc); // target / q_last == ref
+        if (std::abs(b[0]) > kChebTermFloor) {
+            std::vector<Complex> c0(ctx_.slots(), Complex(b[0], 0));
+            acc = eval_.addPlain(
+                acc, encoder_.encode(c0, acc.scale, acc.level()));
+        }
+        val[i][id] = std::move(acc);
+    });
+
+    // (c) Division nodes p = q T_g + r, one height at a time. Each
+    //     child has exactly one parent, so it is moved out, not copied.
+    for (const std::vector<unsigned> &height : plan.heights) {
+        fan_out(height, [&](std::size_t i, unsigned id) {
+            const ChebyshevPlan::Node &node = plan.nodes[id];
+            Ciphertext cq = std::move(val[i][node.quot]);
+            Ciphertext cr = std::move(val[i][node.rem]);
+            Ciphertext tg = t[i][node.giant];
+            const unsigned lvl = std::min(cq.level(), tg.level());
+            eval_.levelDrop(cq, lvl);
+            eval_.levelDrop(tg, lvl);
+            Ciphertext prod = eval_.multiply(cq, tg, relin_);
+            eval_.rescale(prod);
+            alignPair(prod, cr);
+            val[i][id] = eval_.add(prod, cr);
+        });
+    }
+
+    std::vector<Ciphertext> out(inputs);
+    for (std::size_t i = 0; i < inputs; ++i)
+        out[i] = std::move(val[i][0]);
+    return out;
 }
 
 Ciphertext
@@ -565,9 +697,10 @@ Bootstrapper::bootstrap(const Ciphertext &ct) const
     u.scale = s_norm;
     v.scale = s_norm;
 
-    // 3. EvalMod on both halves: slots become ~ m/q0.
-    Ciphertext eu = evalChebyshev(u);
-    Ciphertext ev = evalChebyshev(v);
+    // 3. EvalMod on both halves at once: slots become ~ m/q0.
+    std::vector<Ciphertext> e = evalChebyshev({u, v});
+    Ciphertext &eu = e[0];
+    Ciphertext &ev = e[1];
 
     // 4. Recombine w = eu + i*ev, then SlotToCoeff.
     Ciphertext evi = mulConst(ev, Complex(0, 1));

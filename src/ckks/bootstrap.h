@@ -17,22 +17,31 @@
  *  3. EvalMod: remove the q0*k term by evaluating
  *     (1/2pi) sin(2pi x / q0) via a Chebyshev polynomial, using a
  *     depth-logarithmic Paterson-Stockmeyer evaluation in the
- *     Chebyshev basis.
+ *     Chebyshev basis (both real/imaginary halves at once, planned
+ *     in dependency waves; see ChebyshevPlan).
  *  4. SlotToCoeff: apply the forward embedding to return the cleaned
  *     coefficients to their places.
  *
  * Functional at small N (the mathematics is size-generic); the
  * accelerator-side cost of the same pipeline is modeled by
  * HomBuilder::bootstrap for the full-scale benchmarks.
+ *
+ * Op-level parallelism: like CraterLake spreading one bootstrap's
+ * independent keyswitches over its functional units, bootstrap()
+ * fans independent ops out over the global ThreadPool — the BSGS baby
+ * and giant steps, and each EvalMod phase. Tower loops inside those
+ * ops then run inline on their worker. Every op computes the same
+ * value from the same inputs as a serial run, so bytes and op counts
+ * do not depend on the worker count.
  */
 
 #ifndef CL_CKKS_BOOTSTRAP_H
 #define CL_CKKS_BOOTSTRAP_H
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "ckks/encryptor.h"
@@ -91,6 +100,56 @@ struct BootstrapParams
      *  benchmark baseline). */
     bool cacheDiagonals = true;
 };
+
+/** Chebyshev coefficients of EvalMod's (1/2pi) sin(2pi K u) on
+ *  [-1, 1], degree params.chebDegree. */
+std::vector<double> evalModCoefficients(const BootstrapParams &params);
+
+/**
+ * Chebyshev-basis division: rewrite p = sum b_j T_j as
+ * p = q(u) * T_g(u) + r(u) using T_{a+g} = 2 T_a T_g - T_{|a-g|}.
+ * Returns (q, r) coefficient vectors (also in the T basis).
+ */
+std::pair<std::vector<double>, std::vector<double>>
+chebDivide(std::vector<double> b, unsigned g);
+
+/**
+ * Evaluation plan for p(u) = sum_j c_j T_j(u) (Paterson-Stockmeyer
+ * in the Chebyshev basis). p is divided by T_g for the largest
+ * power-of-two g >= babySteps with 2g <= deg, recursively, until
+ * every block has degree < babySteps. The plan lays that division
+ * tree out as three phases whose items are independent:
+ *
+ *  (a) waves: the basis T_j(u), j >= 2, built with
+ *      T_j = 2 T_ceil(j/2) T_floor(j/2) - T_(j mod 2 ? 1 : 0); wave w
+ *      holds the degrees of depth ceil(log2 j) = w + 1, which read
+ *      only T_1 = u and earlier waves. Exactly the degrees the leaf
+ *      blocks (terms with |c| > 1e-13) and the divisions read, closed
+ *      under j -> ceil(j/2), floor(j/2).
+ *  (b) leaves: every block of degree < babySteps, combined directly.
+ *  (c) heights: inner node p = q T_g + r, grouped by height above
+ *      the leaves, so each height reads only finished children.
+ */
+struct ChebyshevPlan
+{
+    struct Node
+    {
+        std::vector<double> coeffs; ///< Leaf block (empty when inner).
+        unsigned giant = 0;         ///< Inner: divisor degree g; 0 = leaf.
+        unsigned quot = 0;          ///< Inner: node index of q.
+        unsigned rem = 0;           ///< Inner: node index of r.
+    };
+
+    std::vector<Node> nodes;                    ///< nodes[0] is the root.
+    std::vector<std::vector<unsigned>> waves;   ///< Phase (a) degrees.
+    std::vector<unsigned> leaves;               ///< Phase (b) nodes.
+    std::vector<std::vector<unsigned>> heights; ///< Phase (c) nodes.
+    unsigned maxDegree = 1;                     ///< Largest T_j built.
+};
+
+/** Plan the evaluation of sum_j coeffs[j] T_j (see ChebyshevPlan). */
+ChebyshevPlan planChebyshev(const std::vector<double> &coeffs,
+                            unsigned babySteps);
 
 class Bootstrapper
 {
@@ -152,13 +211,19 @@ class Bootstrapper
     DiagCache buildDiagonals(const Matrix &m, unsigned level,
                              bool need_ext) const;
 
+    /** Fill dc.ptExt (the ext-basis diagonals) and set dc.hasExt,
+     *  leaving dc.nonzero and dc.ptData untouched. */
+    void addExtDiagonals(DiagCache &dc, const Matrix &m,
+                         unsigned level) const;
+
     /** Rotation diagonal d of M, pre-rotated for giant step g. */
     std::vector<Complex> rotatedDiagonal(const Matrix &m,
                                          std::size_t d) const;
 
-    /** Evaluate the Chebyshev-basis polynomial at ct (slots in
-     *  [-1,1]); returns sum_j coeffs[j] T_j(ct). */
-    Ciphertext evalChebyshev(const Ciphertext &u) const;
+    /** Evaluate the EvalMod polynomial at every input (slots in
+     *  [-1,1]); returns sum_j coeffs[j] T_j(in[i]) for each i. */
+    std::vector<Ciphertext>
+    evalChebyshev(const std::vector<Ciphertext> &in) const;
 
     /** Align a ciphertext to (level, scale), spending spare levels. */
     Ciphertext alignTo(const Ciphertext &ct, unsigned level,
@@ -177,15 +242,16 @@ class Bootstrapper
 
     Matrix coeffToSlot_; // inverse special FFT
     Matrix slotToCoeff_; // forward special FFT
-    std::vector<double> chebCoeffs_;
+    ChebyshevPlan chebPlan_;
     SwitchKey relin_;
     GaloisKeys galois_;
     unsigned ltN1_ = 0; // resolved transform baby dimension
     // bootstrap() is const and the task-graph runtime calls it from
     // many workers at once: the depth record is atomic (every call
     // stores the same value) and the lazily built diagonal cache is
-    // mutex-guarded (map nodes are stable, so references handed out
-    // under the lock stay valid after it is released).
+    // mutex-guarded (map nodes are stable and an entry's nonzero and
+    // ptData never change once built, so references handed out under
+    // the lock stay valid after it is released).
     mutable std::atomic<unsigned> depthUsed_{0};
     mutable std::mutex diagMutex_;
     mutable std::map<std::pair<int, unsigned>, DiagCache> diagCache_;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <new>
 #include <unordered_map>
 #include <vector>
@@ -38,6 +39,10 @@ std::atomic<std::uint64_t> g_cachedBytes{0};
 /** -1 = read CL_POOL on first use. */
 std::atomic<int> g_enabled{-1};
 
+/** Set once the pool is destroyed at static destruction; later frees
+ *  (objects destroyed after it) pass straight to operator delete. */
+std::atomic<bool> g_poolDead{false};
+
 int
 envEnabled()
 {
@@ -53,47 +58,100 @@ envEnabled()
 }
 
 std::size_t
-threadCapBytes()
+capBytes()
 {
-    static const std::size_t cap = polyPoolThreadCapBytes();
+    static const std::size_t cap = polyPoolCapBytes();
     return cap;
 }
 
-/**
- * Per-thread free lists, keyed by exact byte size (PolyData buffers
- * are allocated at exact towers*N sizes, so exact keying recycles
- * every same-shape slab). Destroyed at thread exit, releasing parked
- * blocks; `t_cacheDead` keeps later frees on the same thread (static
- * destruction order) from touching the destroyed map.
- */
-struct Cache
+/** Blocks taken off the lists, with their byte sizes. */
+using Blocks = std::vector<std::pair<void *, std::size_t>>;
+
+/** Delete blocks taken off the lists (outside the lock). */
+void
+release(const Blocks &blocks)
 {
-    std::unordered_map<std::size_t, std::vector<void *>> bins;
-    std::size_t bytes = 0;
-
-    ~Cache();
-};
-
-thread_local bool t_cacheDead = false;
-
-Cache &
-cache()
-{
-    thread_local Cache c;
-    return c;
+    for (const auto &[p, size] : blocks) {
+        ::operator delete(p);
+        g_cachedBytes.fetch_sub(size, std::memory_order_relaxed);
+    }
 }
 
-Cache::~Cache()
+/**
+ * The process-wide free lists, keyed by exact byte size (PolyData
+ * buffers are allocated at exact towers*N sizes, so exact keying
+ * recycles every same-shape slab). One mutex guards them; blocks
+ * handed back to the heap are deleted after it is released.
+ */
+struct Pool
 {
-    for (auto &[size, blocks] : bins) {
-        for (void *p : blocks) {
-            ::operator delete(p);
-            g_cachedBytes.fetch_sub(size, std::memory_order_relaxed);
+    std::mutex m;
+    std::unordered_map<std::size_t, std::vector<void *>> bins;
+    std::size_t bytes = 0; ///< Parked bytes (guarded by m).
+
+    /**
+     * Unlink parked blocks totalling at least @p want bytes (or all
+     * of them) into @p out, emptying the bins with the most parked
+     * bytes first: the shapes whose demand has fallen furthest.
+     * Caller holds m.
+     */
+    void
+    takeVictims(std::size_t want, Blocks &out)
+    {
+        std::size_t freed = 0;
+        while (freed < want && bytes > 0) {
+            auto victim = bins.end();
+            std::size_t most = 0;
+            for (auto it = bins.begin(); it != bins.end(); ++it) {
+                const std::size_t held = it->first * it->second.size();
+                if (held > most) {
+                    most = held;
+                    victim = it;
+                }
+            }
+            auto &blocks = victim->second;
+            while (!blocks.empty() && freed < want) {
+                out.emplace_back(blocks.back(), victim->first);
+                blocks.pop_back();
+                freed += victim->first;
+                bytes -= victim->first;
+            }
         }
     }
-    bins.clear();
-    bytes = 0;
-    t_cacheDead = true;
+
+    /** Unlink every parked block into @p out. Caller holds m. */
+    void
+    takeAll(Blocks &out)
+    {
+        for (auto &[size, blocks] : bins) {
+            for (void *b : blocks)
+                out.emplace_back(b, size);
+        }
+        bins.clear();
+        bytes = 0;
+    }
+
+    ~Pool()
+    {
+        Blocks blocks;
+        takeAll(blocks);
+        release(blocks);
+        g_poolDead.store(true, std::memory_order_relaxed);
+    }
+};
+
+Pool &
+pool()
+{
+    static Pool p;
+    return p;
+}
+
+bool
+pooled(std::size_t bytes)
+{
+    return polyPoolEnabled() && bytes >= kMinPooledBytes &&
+           !g_poolDead.load(std::memory_order_relaxed);
 }
 
 } // namespace
@@ -116,7 +174,7 @@ polyPoolSetEnabled(bool on)
 }
 
 std::size_t
-polyPoolThreadCapBytes()
+polyPoolCapBytes()
 {
     constexpr std::uint64_t kDefaultMb = 256;
     // The largest MiB count whose byte cap still fits a size_t.
@@ -154,17 +212,15 @@ polyPoolResetStats()
 void
 polyPoolTrim()
 {
-    if (t_cacheDead)
+    if (g_poolDead.load(std::memory_order_relaxed))
         return;
-    Cache &c = cache();
-    for (auto &[size, blocks] : c.bins) {
-        for (void *p : blocks) {
-            ::operator delete(p);
-            g_cachedBytes.fetch_sub(size, std::memory_order_relaxed);
-        }
+    Pool &p = pool();
+    Blocks blocks;
+    {
+        std::lock_guard<std::mutex> lk(p.m);
+        p.takeAll(blocks);
     }
-    c.bins.clear();
-    c.bytes = 0;
+    release(blocks);
 }
 
 void *
@@ -172,17 +228,25 @@ polyPoolAllocate(std::size_t bytes)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
     g_liveBytes.fetch_add(bytes, std::memory_order_relaxed);
-    if (polyPoolEnabled() && bytes >= kMinPooledBytes && !t_cacheDead) {
-        Cache &c = cache();
-        auto it = c.bins.find(bytes);
-        if (it != c.bins.end() && !it->second.empty()) {
-            void *p = it->second.back();
-            it->second.pop_back();
-            c.bytes -= bytes;
-            g_hits.fetch_add(1, std::memory_order_relaxed);
-            g_cachedBytes.fetch_sub(bytes, std::memory_order_relaxed);
-            return p;
+    if (pooled(bytes)) {
+        Pool &p = pool();
+        Blocks victims;
+        {
+            std::lock_guard<std::mutex> lk(p.m);
+            auto it = p.bins.find(bytes);
+            if (it != p.bins.end() && !it->second.empty()) {
+                void *b = it->second.back();
+                it->second.pop_back();
+                p.bytes -= bytes;
+                g_hits.fetch_add(1, std::memory_order_relaxed);
+                g_cachedBytes.fetch_sub(bytes, std::memory_order_relaxed);
+                return b;
+            }
+            // A miss grows the live set by @p bytes; give back as many
+            // parked bytes so live + parked stays within the peak.
+            p.takeVictims(bytes, victims);
         }
+        release(victims);
     }
     g_misses.fetch_add(1, std::memory_order_relaxed);
     return ::operator new(bytes);
@@ -195,14 +259,16 @@ polyPoolDeallocate(void *p, std::size_t bytes) noexcept
         return;
     g_frees.fetch_add(1, std::memory_order_relaxed);
     g_liveBytes.fetch_sub(bytes, std::memory_order_relaxed);
-    if (polyPoolEnabled() && bytes >= kMinPooledBytes && !t_cacheDead &&
-        cache().bytes + bytes <= threadCapBytes()) {
-        Cache &c = cache();
-        c.bins[bytes].push_back(p);
-        c.bytes += bytes;
-        g_parked.fetch_add(1, std::memory_order_relaxed);
-        g_cachedBytes.fetch_add(bytes, std::memory_order_relaxed);
-        return;
+    if (pooled(bytes)) {
+        Pool &pl = pool();
+        std::lock_guard<std::mutex> lk(pl.m);
+        if (pl.bytes + bytes <= capBytes()) {
+            pl.bins[bytes].push_back(p);
+            pl.bytes += bytes;
+            g_parked.fetch_add(1, std::memory_order_relaxed);
+            g_cachedBytes.fetch_add(bytes, std::memory_order_relaxed);
+            return;
+        }
     }
     ::operator delete(p);
 }

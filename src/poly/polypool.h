@@ -6,16 +6,23 @@
  * furious rate — every Evaluator op materializes result polynomials,
  * every keyswitch builds digit/accumulator scratch, every BSGS
  * transform encodes diagonal temporaries — and the set of sizes is
- * tiny: a handful of tower-count × N shapes per context. Under the
- * task-graph runtime many worker threads hit the allocator at once,
- * so round-tripping each slab through malloc serializes on the heap's
- * locks. This pool keeps per-thread free lists keyed by exact byte
- * size: a freed slab parks on the freeing thread's list and the next
- * same-shape allocation on that thread reuses it with no atomics and
- * no lock. Blocks always come from (and eventually return to)
- * `operator new`/`operator delete`, so enabling or disabling the pool
- * mid-run is safe — it only changes whether a free parks the block or
- * releases it.
+ * small: a few dozen tower-count × N shapes per context. This pool
+ * keeps one process-wide set of free lists keyed by exact byte size,
+ * guarded by one mutex: a freed slab parks on its size's list and the
+ * next same-shape allocation on *any* thread reuses it. That matters
+ * once one bootstrap fans its ops out over the thread pool — a slab a
+ * worker allocates is often freed by the caller, and the caller's
+ * next allocation of that shape must find it.
+ *
+ * Bounded by the live set: a miss (no parked slab of the asked size)
+ * first hands at least as many parked bytes back to the heap, taken
+ * from the sizes with the most parked bytes, before it calls
+ * `operator new`. Live + parked bytes therefore never exceed the peak
+ * live set, so the pool cannot hoard the high-water mark of every
+ * shape it has ever seen. Blocks always come from (and eventually
+ * return to) `operator new`/`operator delete`, so enabling or
+ * disabling the pool mid-run is safe — it only changes whether a free
+ * parks the block or releases it.
  *
  * Determinism: the pool changes *where* buffers live, never what is
  * computed — ciphertext bytes are identical with the pool on or off.
@@ -24,11 +31,12 @@
  *  - `CL_POOL=0|off` disables pooling (every call passes through to
  *    the system allocator); default on, except under AddressSanitizer
  *    where pooling would mask use-after-free of recycled slabs.
- *  - `CL_POOL_MB=<n>` caps each thread's parked bytes (default 256);
- *    frees beyond the cap release to the system allocator.
+ *  - `CL_POOL_MB=<n>` caps the bytes parked process-wide (default
+ *    256); frees beyond the cap release to the system allocator.
  *
- * Thread exit releases that thread's parked blocks, so the pool holds
- * no memory after its users are gone (leak-checker clean).
+ * Static destruction releases every parked block, so the pool holds no
+ * memory at exit (leak-checker clean); frees that arrive later pass
+ * straight through.
  */
 
 #ifndef CL_POLY_POLYPOOL_H
@@ -59,16 +67,16 @@ bool polyPoolEnabled();
  *  pass-through allocation in one process). Safe mid-run. */
 void polyPoolSetEnabled(bool on);
 
-/** Per-thread parked-byte cap that CL_POOL_MB asks for (default
+/** Process-wide parked-byte cap that CL_POOL_MB asks for (default
  *  256 MiB; a malformed or overflowing value warns and keeps the
  *  default). Reads the environment on every call; the pool itself
  *  resolves it once. */
-std::size_t polyPoolThreadCapBytes();
+std::size_t polyPoolCapBytes();
 
 PolyPoolStats polyPoolStats();
 void polyPoolResetStats();
 
-/** Release every block parked by the *calling* thread. */
+/** Release every parked block to the system allocator. */
 void polyPoolTrim();
 
 /** Allocate @p bytes (operator-new alignment). Never returns null. */

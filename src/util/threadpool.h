@@ -4,12 +4,19 @@
  * execution layer mirroring CraterLake's spatial parallelism: RNS
  * residue polynomials are independent across moduli (one per hardware
  * vector, Sec 4.1), so tower loops fan out across workers exactly as
- * towers fan out across lanes/FUs in the accelerator.
+ * towers fan out across lanes/FUs in the accelerator. Independent ops
+ * fan out the same way, as the accelerator spreads one bootstrap's
+ * independent keyswitches over its FUs: Bootstrapper runs its BSGS
+ * baby and giant steps and its EvalMod waves as parallelFor items,
+ * and the tower loops inside each item then run inline.
  *
  * Design constraints (and why):
  *  - No work stealing, no futures: every use site is a dense index
- *    range [begin, end) of equal-cost tower kernels; a shared atomic
- *    cursor is optimal and keeps the pool ~200 lines.
+ *    range [begin, end). Items need not cost the same — op-level
+ *    items (one rotation, one Chebyshev product) vary — because the
+ *    shared atomic cursor hands out one index at a time, so a worker
+ *    that finishes early takes the next one. That balances unequal
+ *    items and keeps the pool ~200 lines.
  *  - Determinism: parallelFor only partitions *which thread* runs an
  *    index, never what the index computes or where it writes, so
  *    parallel and serial execution are bit-identical by construction.

@@ -2,6 +2,7 @@
  *  buffers never aliased, stats bookkeeping, leak-free trim, and
  *  clean pass-through when disabled. */
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -128,22 +129,78 @@ TEST_F(PolyPoolTest, DisabledPoolPassesThrough)
     EXPECT_EQ(polyPoolStats().cachedBytes, 0u);
 }
 
-TEST_F(PolyPoolTest, OtherThreadsHaveTheirOwnLists)
+TEST_F(PolyPoolTest, BlockFreedOnAnotherThreadIsReused)
 {
-    // A block parked on another thread must not satisfy this thread's
-    // allocations (per-thread lists need no locks), and the worker's
-    // trim-on-exit must leave nothing cached.
-    const PolyPoolStats before = polyPoolStats();
+    // The lists are process-wide: a slab a worker allocates and frees
+    // must satisfy the next same-size allocation on this thread (a
+    // fanned-out bootstrap frees its workers' slabs on the caller).
+    void *p = nullptr;
     std::thread t([&] {
-        void *p = polyPoolAllocate(kBytes);
+        p = polyPoolAllocate(kBytes);
         polyPoolDeallocate(p, kBytes);
-        polyPoolTrim();
     });
     t.join();
+    void *q = polyPoolAllocate(kBytes);
+    EXPECT_EQ(p, q) << "block parked by the worker must be reused";
+    polyPoolDeallocate(q, kBytes);
+
     const PolyPoolStats s = polyPoolStats();
-    EXPECT_EQ(s.cachedBytes, before.cachedBytes)
-        << "worker trim released its list";
-    EXPECT_EQ(s.liveBytes, before.liveBytes);
+    EXPECT_EQ(s.allocs, 2u);
+    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.cachedBytes, kBytes);
+}
+
+TEST_F(PolyPoolTest, MissReturnsParkedBytes)
+{
+    // Two sizes, one thread, a fixed sequence: live + parked bytes
+    // must never exceed the peak of the live set, because every miss
+    // first hands back as many parked bytes as it asks for.
+    constexpr std::size_t kSmall = 3 * kBytes / 4;
+    constexpr std::size_t kLarge = 2 * kBytes;
+    std::vector<std::pair<void *, std::size_t>> live;
+    std::size_t live_bytes = 0, peak = 0;
+    const auto check = [&](const char *when) {
+        EXPECT_LE(polyPoolStats().cachedBytes + live_bytes, peak) << when;
+    };
+    const auto alloc = [&](std::size_t bytes) {
+        live.emplace_back(polyPoolAllocate(bytes), bytes);
+        live_bytes += bytes;
+        peak = std::max(peak, live_bytes);
+        check("after allocate");
+    };
+    const auto free_at = [&](std::size_t i) {
+        polyPoolDeallocate(live[i].first, live[i].second);
+        live_bytes -= live[i].second;
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        check("after free");
+    };
+
+    // Park 8 small blocks, then switch the whole live set to the
+    // large size: each large miss must evict small blocks.
+    for (int i = 0; i < 8; ++i)
+        alloc(kSmall);
+    while (!live.empty())
+        free_at(live.size() - 1);
+    EXPECT_EQ(polyPoolStats().cachedBytes, 8 * kSmall);
+    for (int i = 0; i < 3; ++i)
+        alloc(kLarge);
+    EXPECT_EQ(polyPoolStats().hits, 0u) << "no large block was parked";
+    EXPECT_LE(polyPoolStats().cachedBytes, 8 * kSmall - 3 * kLarge);
+
+    // A fixed pseudo-random interleaving of both sizes.
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (int step = 0; step < 2000; ++step) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        const unsigned r = static_cast<unsigned>(x >> 33);
+        if (live.size() < 4 || (r % 3 != 0 && live.size() < 24))
+            alloc(r & 1 ? kLarge : kSmall);
+        else
+            free_at(r % live.size());
+    }
+    EXPECT_GT(polyPoolStats().hits, 0u) << "the pool still recycles";
+    while (!live.empty())
+        free_at(live.size() - 1);
 }
 
 TEST_F(PolyPoolTest, RnsPolyRoundTripsThroughThePool)

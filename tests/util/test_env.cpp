@@ -136,13 +136,13 @@ TEST(ClThreads, AboveTheWorkerLimitWarns)
     EXPECT_NE(err.find("CL_THREADS='1025'"), std::string::npos) << err;
 }
 
-/** polyPoolThreadCapBytes() under CL_POOL_MB=@p value, with stderr. */
+/** polyPoolCapBytes() under CL_POOL_MB=@p value, with stderr. */
 std::pair<std::size_t, std::string>
 poolCapFromEnv(const char *value)
 {
     ScopedEnv env("CL_POOL_MB", value);
     testing::internal::CaptureStderr();
-    const std::size_t cap = polyPoolThreadCapBytes();
+    const std::size_t cap = polyPoolCapBytes();
     return {cap, testing::internal::GetCapturedStderr()};
 }
 
