@@ -4,6 +4,7 @@
 
 #include "rns/ntt.h"
 #include "rns/primes.h"
+#include "rns/simd/kernels.h"
 #include "util/prng.h"
 
 namespace cl {
@@ -28,35 +29,30 @@ measureCpuKernels()
     CpuKernelRates r;
     const std::size_t n = 1 << 14;
     const u64 q = generateNttPrimes(28, n, 1)[0];
+    const KernelTable &k = kernels();
+    auto random = [&](std::uint64_t seed, std::size_t len) {
+        std::vector<u64> v(len);
+        FastRng rng(seed);
+        for (auto &x : v)
+            x = rng.nextBelow(q);
+        return v;
+    };
 
-    // Standalone modular multiplies.
+    // Element-wise modular multiplies: the kernel behind every RnsPoly
+    // product.
     {
-        std::vector<u64> a(n), b(n);
-        FastRng rng(1);
-        for (std::size_t i = 0; i < n; ++i) {
-            a[i] = rng.nextBelow(q);
-            b[i] = rng.nextBelow(q);
-        }
+        std::vector<u64> a = random(1, n);
+        const std::vector<u64> b = random(2, n);
         const unsigned iters = 400;
-        volatile u64 sink = 0;
         const double secs = timeLoop(
-            [&] {
-                u64 acc = 0;
-                for (std::size_t i = 0; i < n; ++i)
-                    acc ^= mulMod(a[i], b[i], q);
-                sink = acc;
-            },
-            iters);
+            [&] { k.mulModVec(a.data(), b.data(), n, q); }, iters);
         r.modmulPerSec = iters * static_cast<double>(n) / secs;
     }
 
     // NTT butterflies.
     {
         NttTables tables(n, q);
-        std::vector<u64> a(n);
-        FastRng rng(2);
-        for (auto &v : a)
-            v = rng.nextBelow(q);
+        std::vector<u64> a = random(3, n);
         const unsigned iters = 100;
         const double secs = timeLoop([&] { tables.forward(a.data()); },
                                      iters);
@@ -65,21 +61,23 @@ measureCpuKernels()
         r.nttButterflyPerSec = bflys / secs;
     }
 
-    // changeRNSBase-style multiply-accumulate (the CRB inner loop).
+    // changeRNSBase multiply-accumulate: one destination tower of an
+    // 8-source conversion, as BaseConverter::convert runs it.
     {
-        std::vector<u64> x(n), acc(n, 0);
-        FastRng rng(3);
-        for (auto &v : x)
-            v = rng.nextBelow(q);
-        const ShoupMul c(12345, q);
-        const unsigned iters = 400;
+        const std::size_t ls = 8;
+        const std::vector<u64> x = random(4, ls * n), cs = random(5, ls);
+        std::vector<const u64 *> xs;
+        for (std::size_t i = 0; i < ls; ++i)
+            xs.push_back(x.data() + i * n);
+        std::vector<u64> y(n);
+        const unsigned iters = 50;
         const double secs = timeLoop(
             [&] {
-                for (std::size_t i = 0; i < n; ++i)
-                    acc[i] = addMod(acc[i], c.mul(x[i], q), q);
+                k.baseconvMacVec(y.data(), xs.data(), cs.data(), ls, n, q,
+                                 q);
             },
             iters);
-        r.macPerSec = iters * static_cast<double>(n) / secs;
+        r.macPerSec = iters * static_cast<double>(ls * n) / secs;
     }
     return r;
 }

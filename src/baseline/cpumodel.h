@@ -6,9 +6,10 @@
  * The model counts the scalar modular operations and memory traffic
  * of each homomorphic operation (using the same keyswitching cost
  * formulas the paper tabulates in Table 1) and divides by kernel
- * throughputs *measured on this machine* with our own NTT and MAC
- * kernels, scaled to the paper's core count. The calibration is
- * reported alongside every result (see EXPERIMENTS.md).
+ * throughputs *measured on this machine* with the same kernels the
+ * host library runs (the active KernelTable backend), scaled to the
+ * paper's core count. The calibration is reported alongside every
+ * result (see EXPERIMENTS.md).
  */
 
 #ifndef CL_BASELINE_CPUMODEL_H
@@ -18,15 +19,15 @@
 
 namespace cl {
 
-/** Measured single-core kernel throughputs. */
+/** Measured single-core kernel throughputs (28-bit, N = 2^14). */
 struct CpuKernelRates
 {
-    double modmulPerSec = 0;      ///< Standalone Shoup modmuls/s.
-    double nttButterflyPerSec = 0;///< NTT butterflies/s.
-    double macPerSec = 0;         ///< changeRNSBase-style MACs/s.
+    double modmulPerSec = 0;       ///< Element-wise modmuls/s (mulModVec).
+    double nttButterflyPerSec = 0; ///< Forward-NTT butterflies/s.
+    double macPerSec = 0; ///< changeRNSBase MACs/s (baseconvMacVec).
 };
 
-/** Time our own kernels on the host (takes ~100 ms). */
+/** Time the host's kernels on this machine (takes ~20 ms). */
 CpuKernelRates measureCpuKernels();
 
 struct CpuModelParams

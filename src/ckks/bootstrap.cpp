@@ -198,9 +198,9 @@ Bootstrapper::Bootstrapper(const CkksContext &ctx,
     ltN1_ = params_.ltBabySteps;
     if (ltN1_ == 0) {
         // Auto split: 4x wider than the square root. Hoisted baby
-        // rotations are cheap (no digit lift; under HoistedLazy no
-        // mod-down either), so trading giant steps for baby steps
-        // cuts the expensive full keyswitches and deferred mod-downs.
+        // rotations are cheap (no digit lift, no mod-down), so trading
+        // giant steps for baby steps cuts the expensive full
+        // keyswitches and deferred mod-downs.
         unsigned sq = 1;
         while (static_cast<std::size_t>(sq) * sq < n)
             sq <<= 1;
@@ -282,14 +282,13 @@ Bootstrapper::rotatedDiagonal(const Matrix &m, std::size_t d) const
     return diag;
 }
 
-Bootstrapper::DiagCache
-Bootstrapper::buildDiagonals(const Matrix &m, unsigned level,
-                             bool need_ext) const
+void
+Bootstrapper::addDataDiagonals(DiagCache &dc, const Matrix &m,
+                               unsigned level) const
 {
     const std::size_t n = ctx_.slots();
     const double p_scale =
         static_cast<double>(ctx_.chain().modulus(level - 1));
-    DiagCache dc;
     dc.nonzero.assign(n, 0);
     dc.ptData.resize(n);
     for (std::size_t d = 0; d < n; ++d) {
@@ -305,9 +304,6 @@ Bootstrapper::buildDiagonals(const Matrix &m, unsigned level,
         ctx_.ops().ntts += pt.towers();
         dc.ptData[d] = std::move(pt);
     }
-    if (need_ext)
-        addExtDiagonals(dc, m, level);
-    return dc;
 }
 
 void
@@ -352,12 +348,10 @@ Bootstrapper::diagonals(const Matrix &m, int which, unsigned level,
     // for the lock. (The tower-parallel NTTs inside each encode can
     // still fan out at N >= 2^14.)
     std::lock_guard<std::mutex> lock(diagMutex_);
-    const auto key = std::make_pair(which, level);
-    auto it = diagCache_.find(key);
-    if (it == diagCache_.end())
-        it = diagCache_.emplace(key, buildDiagonals(m, level, need_ext))
-                 .first;
-    else if (need_ext && !it->second.hasExt)
+    auto [it, fresh] = diagCache_.try_emplace(std::make_pair(which, level));
+    if (fresh)
+        addDataDiagonals(it->second, m, level);
+    if (need_ext && !it->second.hasExt)
         addExtDiagonals(it->second, m, level);
     return it->second;
 }
@@ -375,14 +369,7 @@ Bootstrapper::linearTransform(const Ciphertext &ct, const Matrix &m,
     const bool lazy = mode == LinearTransformMode::HoistedLazy;
     OpCounter &ops = ctx_.ops();
 
-    DiagCache local;
-    const DiagCache *dc;
-    if (params_.cacheDiagonals) {
-        dc = &diagonals(m, which, level, lazy);
-    } else {
-        local = buildDiagonals(m, level, lazy);
-        dc = &local;
-    }
+    const DiagCache *dc = &diagonals(m, which, level, lazy);
 
     // Which baby offsets carry at least one nonzero diagonal.
     std::vector<char> baby_used(n1, 0);
@@ -394,15 +381,15 @@ Bootstrapper::linearTransform(const Ciphertext &ct, const Matrix &m,
     for (unsigned b = 1; b < n1; ++b)
         any_rotated_baby |= baby_used[b];
 
-    // Hoisted modes: lift the digits of c1 once; every baby rotation
+    // HoistedLazy: lift the digits of c1 once; every baby rotation
     // reuses them. All hints share the context-default digit size.
     KeySwitchDigits digits;
-    if (mode != LinearTransformMode::Naive && any_rotated_baby) {
+    if (lazy && any_rotated_baby) {
         const unsigned alpha_ks = galois_.keys.begin()->second.alphaKs;
         digits = eval_.decompose(ct.c1, alpha_ks);
     }
 
-    // Per-baby precomputation. Naive/HoistedEager materialize rotated
+    // Per-baby precomputation. Naive materializes rotated
     // ciphertexts; HoistedLazy keeps the keyswitch inner products in
     // the extended basis (k0/k1, still carrying the P factor) plus the
     // exact rotated c0, deferring every mod-down to the giant steps.
@@ -421,27 +408,18 @@ Bootstrapper::linearTransform(const Ciphertext &ct, const Matrix &m,
     }
     parallelFor(0, rotated.size(), [&](std::size_t i) {
         const unsigned b = rotated[i];
+        if (!lazy) {
+            baby[b] = eval_.rotate(ct, static_cast<int>(b), galois_);
+            return;
+        }
         const std::size_t gal =
             eval_.galoisFromSteps(static_cast<int>(b));
-        switch (mode) {
-        case LinearTransformMode::Naive:
-            baby[b] = eval_.rotate(ct, static_cast<int>(b), galois_);
-            break;
-        case LinearTransformMode::HoistedEager:
-            baby[b] = eval_.rotateByGaloisHoisted(ct, gal,
-                                                  galois_.at(gal), digits);
-            break;
-        case LinearTransformMode::HoistedLazy: {
-            const KeySwitchDigits rot =
-                eval_.automorphismDigits(digits, gal);
-            auto ip = eval_.innerProduct(rot, galois_.at(gal));
-            k0[b] = std::move(ip.first);
-            k1[b] = std::move(ip.second);
-            c0rot[b] = ct.c0.automorphism(gal);
-            ops.automorphisms += level;
-            break;
-        }
-        }
+        const KeySwitchDigits rot = eval_.automorphismDigits(digits, gal);
+        auto ip = eval_.innerProduct(rot, galois_.at(gal));
+        k0[b] = std::move(ip.first);
+        k1[b] = std::move(ip.second);
+        c0rot[b] = ct.c0.automorphism(gal);
+        ops.automorphisms += level;
     });
 
     // Giant steps: each g accumulates its diagonals, mods down and
@@ -685,7 +663,8 @@ Bootstrapper::bootstrap(const Ciphertext &ct) const
     // 2. CoeffToSlot, then split the packed real/imag coefficient
     //    halves with a conjugation.
     Ciphertext t =
-        linearTransform(raised, coeffToSlot_, 0, params_.ltMode);
+        linearTransform(raised, coeffToSlot_, 0,
+                        LinearTransformMode::HoistedLazy);
     Ciphertext tc = eval_.conjugate(t, galois_);
     Ciphertext u = eval_.add(t, tc);        // slots: 2*x1 (x = m+q0 k)
     Ciphertext vr = eval_.sub(t, tc);       // slots: 2i*x2
@@ -706,7 +685,8 @@ Bootstrapper::bootstrap(const Ciphertext &ct) const
     Ciphertext evi = mulConst(ev, Complex(0, 1));
     alignPair(eu, evi);
     Ciphertext w = eval_.add(eu, evi);
-    Ciphertext out = linearTransform(w, slotToCoeff_, 1, params_.ltMode);
+    Ciphertext out = linearTransform(w, slotToCoeff_, 1,
+                                     LinearTransformMode::HoistedLazy);
 
     // Slots now hold z(m)/q0; re-declare the scale so they read as
     // z(m)/d_app, the original message.

@@ -50,15 +50,12 @@
 namespace cl {
 
 /**
- * How the BSGS linear transforms execute:
+ * How the BSGS linear transforms execute. bootstrap() always runs
+ * HoistedLazy; Naive is the reference the tests compare it to.
  *
  *  - Naive: every baby-step rotation is an independent keyswitch
  *    (digit lift + mod-up + inner product + mod-down per rotation) —
- *    the pre-hoisting behavior, kept as the correctness and
- *    performance baseline.
- *  - HoistedEager: one shared digit decompose for all baby rotations;
- *    each rotation still mods down immediately. Bit-identical to
- *    Naive (a single rotation computes exactly these stages).
+ *    the pre-hoisting behavior.
  *  - HoistedLazy: shared decompose plus lazy accumulation — the
  *    per-rotation inner products stay in the extended basis and each
  *    giant step performs a single mod-down per ciphertext component.
@@ -70,7 +67,6 @@ namespace cl {
 enum class LinearTransformMode
 {
     Naive,
-    HoistedEager,
     HoistedLazy,
 };
 
@@ -83,22 +79,16 @@ struct BootstrapParams
     unsigned chebDegree = 159;
     /** Baby-step count for the polynomial evaluation (power of 2). */
     unsigned babySteps = 16;
-    /** BSGS execution strategy for CoeffToSlot/SlotToCoeff. */
-    LinearTransformMode ltMode = LinearTransformMode::HoistedLazy;
     /**
      * Baby dimension n1 of the transform BSGS split (power of 2;
      * 0 = auto). Hoisted baby rotations cost only an inner product —
-     * no digit lift, and under HoistedLazy no mod-down either — while
-     * every giant step still pays a full keyswitch plus the deferred
-     * mod-downs, so the hoisted modes want n1 well above the square
-     * split sqrt(n) that minimizes plain rotation count. Auto picks
+     * no digit lift and no mod-down — while every giant step still
+     * pays a full keyswitch plus the deferred mod-downs, so
+     * HoistedLazy wants n1 well above the square split sqrt(n) that
+     * minimizes plain rotation count. Auto picks
      * min(slots, 4*sqrt(slots)).
      */
     unsigned ltBabySteps = 0;
-    /** Cache encoded diagonal plaintexts per (matrix, level). Off
-     *  reproduces the historical re-encode-every-call behavior (the
-     *  benchmark baseline). */
-    bool cacheDiagonals = true;
 };
 
 /** Chebyshev coefficients of EvalMod's (1/2pi) sin(2pi K u) on
@@ -163,7 +153,8 @@ class Bootstrapper
 
     /**
      * Refresh an exhausted ciphertext: input at level >= 1, output at
-     * a high level with the same (approximate) message.
+     * a high level with the same (approximate) message. Both
+     * transforms run HoistedLazy over the cached diagonals.
      */
     Ciphertext bootstrap(const Ciphertext &ct) const;
 
@@ -207,9 +198,9 @@ class Bootstrapper
     const DiagCache &diagonals(const Matrix &m, int which,
                                unsigned level, bool need_ext) const;
 
-    /** Encode all (pre-rotated) diagonals of M at @p level. */
-    DiagCache buildDiagonals(const Matrix &m, unsigned level,
-                             bool need_ext) const;
+    /** Fill dc.nonzero and dc.ptData (the data-basis diagonals). */
+    void addDataDiagonals(DiagCache &dc, const Matrix &m,
+                          unsigned level) const;
 
     /** Fill dc.ptExt (the ext-basis diagonals) and set dc.hasExt,
      *  leaving dc.nonzero and dc.ptData untouched. */

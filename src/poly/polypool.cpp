@@ -1,7 +1,6 @@
 #include "polypool.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <new>
 #include <unordered_map>
@@ -42,20 +41,6 @@ std::atomic<int> g_enabled{-1};
 /** Set once the pool is destroyed at static destruction; later frees
  *  (objects destroyed after it) pass straight to operator delete. */
 std::atomic<bool> g_poolDead{false};
-
-int
-envEnabled()
-{
-    if (const char *env = std::getenv("CL_POOL")) {
-        const std::string v(env);
-        if (v == "0" || v == "off" || v == "false")
-            return 0;
-        if (v == "1" || v == "on" || v == "true")
-            return 1;
-        warn("ignoring malformed CL_POOL='" + v + "'");
-    }
-    return CL_POOL_UNDER_ASAN ? 0 : 1;
-}
 
 std::size_t
 capBytes()
@@ -161,7 +146,7 @@ polyPoolEnabled()
 {
     int e = g_enabled.load(std::memory_order_relaxed);
     if (e < 0) {
-        e = envEnabled();
+        e = polyPoolEnabledFromEnv() ? 1 : 0;
         g_enabled.store(e, std::memory_order_relaxed);
     }
     return e != 0;
@@ -171,6 +156,16 @@ void
 polyPoolSetEnabled(bool on)
 {
     g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+}
+
+bool
+polyPoolEnabledFromEnv()
+{
+    static constexpr EnvChoice kChoices[] = {
+        {"0", 0}, {"off", 0}, {"false", 0},
+        {"1", 1}, {"on", 1},  {"true", 1},
+    };
+    return envChoice("CL_POOL", kChoices, CL_POOL_UNDER_ASAN ? 0 : 1) != 0;
 }
 
 std::size_t

@@ -63,6 +63,10 @@ struct PolyPoolStats
 /** Whether frees park blocks for reuse (CL_POOL, see file header). */
 bool polyPoolEnabled();
 
+/** The enable flag CL_POOL asks for (see file header). Reads the
+ *  environment on every call; polyPoolEnabled() resolves it once. */
+bool polyPoolEnabledFromEnv();
+
 /** Override the enable flag (tests/benchmarks comparing pooled vs
  *  pass-through allocation in one process). Safe mid-run. */
 void polyPoolSetEnabled(bool on);

@@ -3,11 +3,10 @@
 #include "rns/simd/kernels.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 #include "util/common.h"
+#include "util/env.h"
 
 namespace cl {
 
@@ -57,44 +56,6 @@ compiledTable(SimdBackend b)
     return nullptr;
 }
 
-/** Parse CL_SIMD; returns true and sets @p out on a recognized name. */
-bool
-parseBackendName(const char *s, SimdBackend &out)
-{
-    if (std::strcmp(s, "scalar") == 0)
-        out = SimdBackend::Scalar;
-    else if (std::strcmp(s, "avx2") == 0)
-        out = SimdBackend::Avx2;
-    else if (std::strcmp(s, "avx512") == 0)
-        out = SimdBackend::Avx512;
-    else
-        return false;
-    return true;
-}
-
-const KernelTable *
-resolveDefault()
-{
-    if (const char *env = std::getenv("CL_SIMD")) {
-        SimdBackend req;
-        if (!parseBackendName(env, req)) {
-            warn(std::string("ignoring malformed CL_SIMD='") + env +
-                 "' (want scalar|avx2|avx512)");
-        } else if (const KernelTable *t = kernelTableFor(req)) {
-            return t;
-        } else {
-            warn(std::string("CL_SIMD=") + env +
-                 " unavailable on this host; using scalar kernels");
-            return simd::scalarTable();
-        }
-    }
-    for (SimdBackend b : {SimdBackend::Avx512, SimdBackend::Avx2}) {
-        if (const KernelTable *t = kernelTableFor(b))
-            return t;
-    }
-    return simd::scalarTable();
-}
-
 std::atomic<const KernelTable *> g_active{nullptr};
 
 } // namespace
@@ -108,9 +69,9 @@ kernels()
         std::call_once(once, [] {
             const KernelTable *expected = nullptr;
             // Keep a backend installed by an early setSimdBackend call.
-            g_active.compare_exchange_strong(expected, resolveDefault(),
-                                             std::memory_order_release,
-                                             std::memory_order_relaxed);
+            g_active.compare_exchange_strong(
+                expected, kernelTableFor(simdBackendFromEnv()),
+                std::memory_order_release, std::memory_order_relaxed);
         });
         t = g_active.load(std::memory_order_acquire);
     }
@@ -121,6 +82,28 @@ SimdBackend
 activeSimdBackend()
 {
     return kernels().id;
+}
+
+SimdBackend
+simdBackendFromEnv()
+{
+    static constexpr EnvChoice kChoices[] = {
+        {"scalar", static_cast<int>(SimdBackend::Scalar)},
+        {"avx2", static_cast<int>(SimdBackend::Avx2)},
+        {"avx512", static_cast<int>(SimdBackend::Avx512)},
+    };
+    SimdBackend best = SimdBackend::Scalar;
+    for (SimdBackend b : {SimdBackend::Avx2, SimdBackend::Avx512}) {
+        if (kernelTableFor(b))
+            best = b;
+    }
+    const auto b = static_cast<SimdBackend>(
+        envChoice("CL_SIMD", kChoices, static_cast<int>(best)));
+    if (kernelTableFor(b))
+        return b;
+    warn(std::string("CL_SIMD=") + simdBackendName(b) +
+         " unavailable on this host; using scalar kernels");
+    return SimdBackend::Scalar;
 }
 
 const KernelTable *

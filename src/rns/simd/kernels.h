@@ -152,16 +152,17 @@ struct KernelTable
                            u64 q);
 };
 
-/**
- * The active kernel table. Resolved once on first use: the CL_SIMD
- * environment variable if set (falling back to scalar, with a
- * warning, when the requested backend is unavailable), else the best
- * backend both compiled in and supported by this CPU.
- */
+/** The active kernel table; resolved once on first use from
+ *  simdBackendFromEnv() unless setSimdBackend ran first. */
 const KernelTable &kernels();
 
 /** Backend of the active table. */
 SimdBackend activeSimdBackend();
+
+/** The backend CL_SIMD asks for (scalar, with a warning, when it is
+ *  unavailable), else the best one this build and CPU support. Reads
+ *  the environment on every call. */
+SimdBackend simdBackendFromEnv();
 
 /** Table for a specific backend, or nullptr when it is not compiled
  *  in or not supported by this CPU (tests/benchmarks). */

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 
 #include "util/common.h"
+#include "util/env.h"
 #include "util/threadpool.h"
 
 namespace cl {
@@ -24,28 +24,24 @@ execModeName(ExecMode m)
     return "?";
 }
 
+constexpr EnvChoice kExecModes[] = {
+    {"serial", static_cast<int>(ExecMode::Serial)},
+    {"graph", static_cast<int>(ExecMode::Graph)},
+};
+
 ExecMode
 execModeByName(const std::string &name)
 {
-    if (name == "serial")
-        return ExecMode::Serial;
-    if (name == "graph")
-        return ExecMode::Graph;
+    if (const auto m = parseChoice(name.c_str(), kExecModes))
+        return static_cast<ExecMode>(*m);
     CL_FATAL("unknown exec mode '", name, "' (serial, graph)");
 }
 
 ExecMode
 execModeFromEnv()
 {
-    if (const char *env = std::getenv("CL_EXEC")) {
-        const std::string v(env);
-        if (v == "serial")
-            return ExecMode::Serial;
-        if (v == "graph")
-            return ExecMode::Graph;
-        warn("ignoring malformed CL_EXEC='" + v + "'");
-    }
-    return ExecMode::Graph;
+    return static_cast<ExecMode>(
+        envChoice("CL_EXEC", kExecModes, static_cast<int>(ExecMode::Graph)));
 }
 
 TaskGraph::TaskId

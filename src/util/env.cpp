@@ -37,4 +37,33 @@ envUnsigned(const char *name, std::uint64_t dflt, std::uint64_t lo,
     return dflt;
 }
 
+std::optional<int>
+parseChoice(const char *s, std::span<const EnvChoice> choices)
+{
+    for (const EnvChoice &c : choices) {
+        if (std::strcmp(s, c.name) == 0)
+            return c.value;
+    }
+    return std::nullopt;
+}
+
+int
+envChoice(const char *name, std::span<const EnvChoice> choices, int dflt)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return dflt;
+    if (const auto v = parseChoice(env, choices))
+        return *v;
+    std::string want;
+    for (const EnvChoice &c : choices) {
+        if (!want.empty())
+            want += '|';
+        want += c.name;
+    }
+    warn(std::string("ignoring malformed ") + name + "='" + env +
+         "' (want " + want + ")");
+    return dflt;
+}
+
 } // namespace cl

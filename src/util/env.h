@@ -1,10 +1,11 @@
 /**
  * @file
- * Strict parsing of the library's integer environment knobs
- * (CL_THREADS, CL_POOL_MB). A knob value must be a plain decimal
- * integer inside the knob's range: no sign, no whitespace, no
- * trailing characters, no overflow. Anything else is rejected with
- * one warning and the knob keeps its default.
+ * Strict parsing of the library's environment knobs. An integer
+ * knob (CL_THREADS, CL_POOL_MB) must be a plain decimal integer inside
+ * the knob's range: no sign, no whitespace, no trailing characters, no
+ * overflow. A named knob (CL_EXEC, CL_POOL, CL_SIMD) must be exactly
+ * one of its accepted spellings. Anything else is rejected with one
+ * warning and the knob keeps its default.
  */
 
 #ifndef CL_UTIL_ENV_H
@@ -12,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 namespace cl {
 
@@ -27,6 +29,23 @@ std::optional<std::uint64_t> parseUnsigned(const char *s, std::uint64_t lo,
  */
 std::uint64_t envUnsigned(const char *name, std::uint64_t dflt,
                           std::uint64_t lo, std::uint64_t hi);
+
+/** One accepted spelling of a named knob and the value it selects. */
+struct EnvChoice
+{
+    const char *name;
+    int value;
+};
+
+/** The value of the entry of @p choices spelled exactly @p s. */
+std::optional<int> parseChoice(const char *s,
+                               std::span<const EnvChoice> choices);
+
+/** Named knob @p name: @p dflt when unset; its parseChoice value
+ *  when it matches; otherwise warns, listing the accepted spellings,
+ *  and returns @p dflt. Reads the environment on every call. */
+int envChoice(const char *name, std::span<const EnvChoice> choices,
+              int dflt);
 
 } // namespace cl
 

@@ -288,8 +288,7 @@ TEST_F(BootstrapParallel, BootstrapIsIdenticalAcrossWorkersAndPool)
 TEST_F(BootstrapParallel, CoeffToSlotIsIdenticalInEveryMode)
 {
     for (LinearTransformMode mode :
-         {LinearTransformMode::Naive, LinearTransformMode::HoistedEager,
-          LinearTransformMode::HoistedLazy}) {
+         {LinearTransformMode::Naive, LinearTransformMode::HoistedLazy}) {
         SCOPED_TRACE(static_cast<int>(mode));
         expectIdenticalEverywhere(
             [mode] { return boot_->applyCoeffToSlot(*top_, mode); });

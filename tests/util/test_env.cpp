@@ -1,6 +1,7 @@
-/** Tests for the strict integer knob parser and the two knobs built
- *  on it (CL_THREADS, CL_POOL_MB): every malformed value is rejected
- *  with one warning and the knob keeps its default. */
+/** Tests for the strict knob parsers and the knobs built on them
+ *  (CL_THREADS, CL_POOL_MB, CL_EXEC, CL_POOL, CL_SIMD): every
+ *  malformed value is rejected with one warning and the knob keeps
+ *  its default. */
 
 #include <algorithm>
 #include <cstdint>
@@ -12,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "poly/polypool.h"
+#include "rns/simd/kernels.h"
+#include "runtime/taskgraph.h"
 #include "util/env.h"
 #include "util/threadpool.h"
 
@@ -186,6 +189,101 @@ TEST(ClPoolMb, IntegerOverflowWarnsAndKeepsDefault)
     const auto [cap, err] = poolCapFromEnv("99999999999999999999");
     EXPECT_EQ(cap, kDefaultPoolCap);
     EXPECT_NE(err.find("CL_POOL_MB='99999999999999999999'"),
+              std::string::npos)
+        << err;
+}
+
+/** @p read() with knob @p name set to @p value (unset when null),
+ *  and whatever it printed to stderr. */
+template <typename Read>
+auto
+readKnob(const char *name, const char *value, Read read)
+{
+    ScopedEnv env(name, value ? value : "");
+    if (!value)
+        unsetenv(name);
+    testing::internal::CaptureStderr();
+    const auto v = read();
+    return std::make_pair(v, testing::internal::GetCapturedStderr());
+}
+
+TEST(ParseChoice, MatchesExactSpellingsOnly)
+{
+    constexpr EnvChoice kChoices[] = {{"on", 1}, {"off", 0}};
+    EXPECT_EQ(parseChoice("on", kChoices), 1);
+    EXPECT_EQ(parseChoice("off", kChoices), 0);
+    for (const char *s : {"", "ON", " on", "on ", "of", "offf"})
+        EXPECT_FALSE(parseChoice(s, kChoices)) << s;
+}
+
+TEST(ClExec, AcceptedSpellingsSelectTheMode)
+{
+    EXPECT_EQ(readKnob("CL_EXEC", "serial", execModeFromEnv),
+              std::make_pair(ExecMode::Serial, std::string()));
+    EXPECT_EQ(readKnob("CL_EXEC", "graph", execModeFromEnv),
+              std::make_pair(ExecMode::Graph, std::string()));
+    EXPECT_EQ(execModeByName("serial"), ExecMode::Serial);
+}
+
+TEST(ClExec, MalformedValueWarnsAndKeepsGraph)
+{
+    const auto [mode, err] = readKnob("CL_EXEC", "Serial", execModeFromEnv);
+    EXPECT_EQ(mode, ExecMode::Graph);
+    EXPECT_NE(err.find("ignoring malformed CL_EXEC='Serial' "
+                       "(want serial|graph)"),
+              std::string::npos)
+        << err;
+}
+
+TEST(ClPool, AcceptedSpellingsSetTheFlag)
+{
+    for (const char *off : {"0", "off", "false"}) {
+        EXPECT_EQ(readKnob("CL_POOL", off, polyPoolEnabledFromEnv),
+                  std::make_pair(false, std::string()));
+    }
+    for (const char *on : {"1", "on", "true"}) {
+        EXPECT_EQ(readKnob("CL_POOL", on, polyPoolEnabledFromEnv),
+                  std::make_pair(true, std::string()));
+    }
+}
+
+TEST(ClPool, MalformedValueWarnsAndKeepsDefault)
+{
+    const bool dflt =
+        readKnob("CL_POOL", nullptr, polyPoolEnabledFromEnv).first;
+    const auto [on, err] = readKnob("CL_POOL", "yes", polyPoolEnabledFromEnv);
+    EXPECT_EQ(on, dflt);
+    EXPECT_NE(err.find("ignoring malformed CL_POOL='yes'"),
+              std::string::npos)
+        << err;
+}
+
+TEST(ClSimd, EachBackendIsSelectedOrFallsBackToScalar)
+{
+    for (SimdBackend b :
+         {SimdBackend::Scalar, SimdBackend::Avx2, SimdBackend::Avx512}) {
+        const auto [got, err] =
+            readKnob("CL_SIMD", simdBackendName(b), simdBackendFromEnv);
+        if (kernelTableFor(b)) {
+            EXPECT_EQ(got, b);
+            EXPECT_EQ(err, "");
+        } else {
+            EXPECT_EQ(got, SimdBackend::Scalar);
+            EXPECT_NE(err.find("unavailable on this host"),
+                      std::string::npos)
+                << err;
+        }
+    }
+}
+
+TEST(ClSimd, MalformedValueWarnsAndKeepsDefault)
+{
+    const SimdBackend dflt =
+        readKnob("CL_SIMD", nullptr, simdBackendFromEnv).first;
+    const auto [got, err] = readKnob("CL_SIMD", "AVX2", simdBackendFromEnv);
+    EXPECT_EQ(got, dflt);
+    EXPECT_NE(err.find("ignoring malformed CL_SIMD='AVX2' "
+                       "(want scalar|avx2|avx512)"),
               std::string::npos)
         << err;
 }
